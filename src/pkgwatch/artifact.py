@@ -84,9 +84,10 @@ def _parse_repository(raw: dict[str, Any]) -> str | None:
 
 
 def _parse_manifest(content: bytes) -> Manifest:
+    # RecursionError: nesting deeper than the JSON decoder's recursion limit.
     try:
         doc = json.loads(content.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestParseError(f"package.json is not well-formed: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestParseError("package.json must contain a JSON object")

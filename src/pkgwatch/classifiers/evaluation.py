@@ -137,18 +137,47 @@ def train_all(
     y: np.ndarray,
     schema: tuple[str, ...] = NUMERIC_SCHEMA,
     nu: float = 0.001,
-) -> dict[str, object]:
+) -> tuple[dict[str, object], dict[str, str]]:
     """Train the three models on one labeled, numerically encoded dataset.
 
     The tree and SVM consume the full numeric rows (the SVM sees only the
     benign ones); Naive Bayes consumes the derived Boolean encoding.
+    Models whose preconditions fail are skipped with a reason: the tree
+    and NB need both classes, the SVM at least 2 benign rows. Returns
+    (models, skipped); TooFewSamples when no model can train.
     """
-    Xb, schema_b = booleanize_rows(X, schema)
-    benign_rows = X[np.asarray(y, dtype=object) == BENIGN]
+    y = np.asarray(y, dtype=object)
+    n_mal = int(np.sum(y == MALICIOUS))
+    n_ben = int(np.sum(y == BENIGN))
+    models: dict[str, object] = {}
+    skipped: dict[str, str] = {}
+    if n_mal and n_ben:
+        models[MODEL_TREE] = DecisionTreeClassifier().fit(X, y, schema=schema)
+        Xb, schema_b = booleanize_rows(X, schema)
+        models[MODEL_NB] = BernoulliNaiveBayes().fit(Xb, y, schema=schema_b)
+    else:
+        reason = "corpus does not contain both classes"
+        skipped[MODEL_TREE] = reason
+        skipped[MODEL_NB] = reason
+
+    if n_ben >= 2:
+        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(X[y == BENIGN], schema=schema)
+    else:
+        skipped[MODEL_SVM] = "one-class SVM needs at least 2 benign rows"
+
+    if not models:
+        raise TooFewSamples("corpus cannot train any model: " + "; ".join(
+            f"{k}: {v}" for k, v in skipped.items()
+        ))
+    return models, skipped
+
+
+def _predict_rows(models: dict[str, object], X: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-model predictions for numerically encoded rows; NB gets them Boolean."""
+    Xb, _ = booleanize_rows(X, NUMERIC_SCHEMA)
     return {
-        MODEL_TREE: DecisionTreeClassifier().fit(X, y, schema=schema),
-        MODEL_NB: BernoulliNaiveBayes().fit(Xb, y, schema=schema_b),
-        MODEL_SVM: LinearOneClassSvm(nu=nu).fit(benign_rows, schema=schema),
+        model_id: model.predict(Xb if model_id == MODEL_NB else X)
+        for model_id, model in models.items()
     }
 
 
@@ -159,12 +188,7 @@ def predict_all(models: dict[str, object], row: np.ndarray) -> dict[str, str]:
     the one-class SVM).
     """
     row = np.asarray(row, dtype=float).reshape(1, -1)
-    row_b, _ = booleanize_rows(row, NUMERIC_SCHEMA)
-    verdicts = {}
-    for model_id, model in models.items():
-        rows = row_b if model_id == MODEL_NB else row
-        verdicts[model_id] = str(model.predict(rows)[0])
-    return verdicts
+    return {model_id: str(pred[0]) for model_id, pred in _predict_rows(models, row).items()}
 
 
 def cross_validate(
@@ -181,14 +205,10 @@ def cross_validate(
         train_mask = ~np.isin(all_idx, test_idx)
         X_train, y_train = data.rows[train_mask], data.labels[train_mask]
         X_test, y_test = data.rows[test_idx], data.labels[test_idx]
-        models = train_all(X_train, y_train, data.schema, nu=nu)
-        Xb_test, _ = booleanize_rows(X_test, data.schema)
-        preds = {
-            MODEL_TREE: models[MODEL_TREE].predict(X_test),
-            MODEL_NB: models[MODEL_NB].predict(Xb_test),
-            MODEL_SVM: models[MODEL_SVM].predict(X_test),
-        }
-        for model_id, y_pred in preds.items():
+        models, skipped = train_all(X_train, y_train, data.schema, nu=nu)
+        if skipped:
+            raise TooFewSamples(f"a training fold cannot train: {skipped}")
+        for model_id, y_pred in _predict_rows(models, X_test).items():
             per_model[model_id].append(Metrics.from_predictions(y_test, y_pred))
     return {m: CrossValidationResult(folds=tuple(f)) for m, f in per_model.items()}
 

@@ -192,8 +192,13 @@ def _resolve_artifact(settings: Settings, spec, tarball):
         return load_tarball(Path(tarball).read_bytes())
     if not spec:
         raise click.UsageError("pass name@version or --tarball")
-    name, version = parse_spec(spec)
-    return load_tarball(settings.registry().fetch_tarball(name, version))
+    return _fetch_artifact(settings, *parse_spec(spec))
+
+
+def _fetch_artifact(settings: Settings, name: str, version: str):
+    registry = settings.registry()
+    dist = registry.fetch_document(name).dist.get(version)
+    return load_tarball(registry.fetch_tarball(name, version, dist))
 
 
 @cli.command()
@@ -285,7 +290,7 @@ def clone_check(settings: Settings, spec, tarball):
 def reproduce_cmd(settings: Settings, spec, build_config):
     """Rebuild one package version from its declared repository."""
     name, version = parse_spec(spec)
-    artifact = load_tarball(settings.registry().fetch_tarball(name, version))
+    artifact = _fetch_artifact(settings, name, version)
     config = _reproducer_config(build_config, no_reproduce=False)
     plan = make_plan(artifact.manifest, version, config)
     if plan is None:

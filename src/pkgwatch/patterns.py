@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .tokens import Token, TokenizeError, tokenize
+from .tokens import Token, tokenize
 
 RULE_KINDS = (
     "import_of",
@@ -186,10 +186,7 @@ def count_matches(text: str, table: PatternTable) -> dict[str, int]:
     Raises TokenizeError when the file cannot be tokenized; the caller
     records a warning and counts the file as zero matches.
     """
-    try:
-        events = scan_tokens(tokenize(text))
-    except TokenizeError:
-        raise
+    events = scan_tokens(tokenize(text))
     counts = {
         feature: sum(match_rule(rule, events) for rule in rules)
         for feature, rules in table.rules.items()

@@ -2,6 +2,10 @@
 retrain. Verdict fusion is any-of: one flagging model (or a clone match)
 flags the version; only a canonical rebuild match clears a model flag, and
 clone matches are never cleared.
+
+A scan gives each package to one worker, which reads its document once and
+scans its items in publish order; each version's features, extracted once,
+feed its successor's change vector from that worker's locals.
 """
 
 from __future__ import annotations
@@ -18,17 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import load_tarball
+# The three estimator classes stay importable here: bench/run.py traces their fits.
 from .classifiers import (
     MODEL_IDS,
-    MODEL_NB,
-    MODEL_SVM,
-    MODEL_TREE,
     BernoulliNaiveBayes,
     DecisionTreeClassifier,
+    LabeledDataset,
     LinearOneClassSvm,
     load_model,
     predict_all,
     save_model,
+    train_all,
 )
 from .clones import (
     CloneProvenance,
@@ -37,19 +41,11 @@ from .clones import (
     canonical_digest,
     find_clone,
 )
-from .errors import PkgwatchError, TooFewSamples, UnknownVersion
+from .errors import PkgwatchError, UnknownVersion
 from .features import FeatureVector, extract_features
 from .patterns import DEFAULT_PATTERN_TABLE, PatternTable
 from .reproduce import NO_REPO, REPRODUCED, ReproducerConfig, make_plan, reproduce
-from .vectorize import (
-    BENIGN,
-    MALICIOUS,
-    ChangeVector,
-    booleanize_rows,
-    build_change_vector,
-    encode,
-    encode_dataset,
-)
+from .vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector, encode
 from .versioning import SemVer, UpdateType, classify_update, time_between
 
 logger = logging.getLogger(__name__)
@@ -309,90 +305,94 @@ class ScanOutcome:
     vectors: list[ChangeVector]
 
 
-def _features_of(
-    registry, name: str, version: str, table: PatternTable,
-    cache: dict[tuple[str, str], FeatureVector],
-    lock: threading.Lock,
-) -> FeatureVector:
-    with lock:
-        cached = cache.get((name, version))
-    if cached is not None:
-        return cached
-    artifact = load_tarball(registry.fetch_tarball(name, version))
-    features = extract_features(artifact, table)
-    with lock:
-        cache[(name, version)] = features
-    return features
+def _failed(verdict: Verdict, exc: Exception) -> tuple[Verdict, None]:
+    logger.warning("scan failed for %s@%s: %s", verdict.package, verdict.version, exc)
+    verdict.error = str(exc)
+    verdict.final = derive_final({}, None, None, error=verdict.error)
+    return verdict, None
 
 
-def _scan_one(
+def _scan_package(
     registry,
     name: str,
-    version: str,
+    versions: list[str],
     models: dict[str, object],
     hash_set: MalwareHashSet,
     table: PatternTable,
     reproducer_config: ReproducerConfig | None,
-    cache: dict[tuple[str, str], FeatureVector],
-    cache_lock: threading.Lock,
-) -> tuple[Verdict, ChangeVector | None]:
-    verdict = Verdict(package=name, version=version)
+) -> list[tuple[Verdict, ChangeVector | None]]:
+    """Verdicts and vectors for one package's batch `versions`, in that order.
+
+    The document is read once and the items are scanned in publish order,
+    so each version the scan needs, an item or the direct predecessor of
+    one, is fetched and extracted once.
+    """
     try:
         document = registry.fetch_document(name)
         timeline = document.timeline()
-        artifact = load_tarball(registry.fetch_tarball(name, version))
-        if (artifact.name, artifact.version) != (name, version):
-            logger.warning(
-                "manifest says %s@%s but registry coordinates are %s@%s",
-                artifact.name, artifact.version, name, version,
-            )
-        cur_features = extract_features(artifact, table)
-        with cache_lock:
-            cache[(name, version)] = cur_features
-        verdict.digest = str(canonical_digest(artifact))
-
-        previous = timeline.previous_version(version)
-        if previous is None:
-            vector = build_change_vector(
-                None, cur_features, UpdateType.FIRST, 0.0,
-                package=name, version=version,
-            )
-        else:
-            prev_version, prev_ts = previous
-            prev_features = _features_of(
-                registry, name, prev_version, table, cache, cache_lock
-            )
-            update_type = classify_update(
-                SemVer.parse(prev_version), SemVer.parse(version)
-            )
-            dt = time_between(prev_ts, timeline.timestamp_of(version))
-            vector = build_change_vector(
-                prev_features, cur_features, update_type, dt,
-                package=name, version=version,
-            )
-
-        row = np.asarray(encode(vector).values)
-        verdict.model_flags = predict_all(models, row)
-        verdict.clone_match = find_clone(artifact, hash_set)
-
-        if verdict.model_flagged and reproducer_config is not None:
-            plan = make_plan(artifact.manifest, version, reproducer_config)
-            if plan is None:
-                verdict.reproduce_status = NO_REPO
-            else:
-                verdict.reproduce_status = reproduce(
-                    plan, artifact, reproducer_config
-                ).status
-
-        verdict.final = derive_final(
-            verdict.model_flags, verdict.clone_match, verdict.reproduce_status
-        )
-        return verdict, vector
     except (PkgwatchError, ValueError) as exc:
-        logger.warning("scan failed for %s@%s: %s", name, version, exc)
-        verdict.error = str(exc)
-        verdict.final = derive_final({}, None, None, error=verdict.error)
-        return verdict, None
+        return [_failed(Verdict(package=name, version=v), exc) for v in versions]
+    features: dict[str, FeatureVector] = {}
+
+    def load(version: str):
+        artifact = load_tarball(
+            registry.fetch_tarball(name, version, document.dist.get(version))
+        )
+        features[version] = extract_features(artifact, table)
+        return artifact
+
+    rank = {version: i for i, (version, _) in enumerate(timeline.entries)}
+    results = {}
+    for version in sorted(versions, key=lambda v: rank.get(v, len(rank))):
+        verdict = Verdict(package=name, version=version)
+        try:
+            artifact = load(version)
+            if (artifact.name, artifact.version) != (name, version):
+                logger.warning(
+                    "manifest says %s@%s but registry coordinates are %s@%s",
+                    artifact.name, artifact.version, name, version,
+                )
+            verdict.digest = str(canonical_digest(artifact))
+
+            previous = timeline.previous_version(version)
+            if previous is None:
+                vector = build_change_vector(
+                    None, features[version], UpdateType.FIRST, 0.0,
+                    package=name, version=version,
+                )
+            else:
+                prev_version, prev_ts = previous
+                if prev_version not in features:
+                    load(prev_version)
+                update_type = classify_update(
+                    SemVer.parse(prev_version), SemVer.parse(version)
+                )
+                dt = time_between(prev_ts, timeline.timestamp_of(version))
+                vector = build_change_vector(
+                    features[prev_version], features[version], update_type, dt,
+                    package=name, version=version,
+                )
+
+            row = np.asarray(encode(vector).values)
+            verdict.model_flags = predict_all(models, row)
+            verdict.clone_match = find_clone(artifact, hash_set)
+
+            if verdict.model_flagged and reproducer_config is not None:
+                plan = make_plan(artifact.manifest, version, reproducer_config)
+                if plan is None:
+                    verdict.reproduce_status = NO_REPO
+                else:
+                    verdict.reproduce_status = reproduce(
+                        plan, artifact, reproducer_config
+                    ).status
+
+            verdict.final = derive_final(
+                verdict.model_flags, verdict.clone_match, verdict.reproduce_status
+            )
+            results[version] = verdict, vector
+        except (PkgwatchError, ValueError) as exc:
+            results[version] = _failed(verdict, exc)
+    return [results[version] for version in versions]
 
 
 def scan(
@@ -404,28 +404,32 @@ def scan(
     reproducer_config: ReproducerConfig | None = None,
     jobs: int = 1,
 ) -> ScanOutcome:
-    """Scan a batch of (name, version) items.
+    """Scan a batch of (name, version) items, one package per worker.
 
     Per-item failures become error verdicts without aborting the batch;
     the report order is deterministic (name, then version) regardless of
     worker scheduling.
     """
-    cache: dict[tuple[str, str], FeatureVector] = {}
-    cache_lock = threading.Lock()
+    packages: dict[str, list[str]] = {}
+    for name, version in sorted(set(batch)):
+        packages.setdefault(name, []).append(version)
 
-    def work(item: tuple[str, str]):
-        return _scan_one(
-            registry, item[0], item[1], models, hash_set,
-            pattern_table, reproducer_config, cache, cache_lock,
-        )
+    def work(package: tuple[str, list[str]]):
+        name, versions = package
+        try:
+            return _scan_package(registry, name, versions, models, hash_set,
+                                 pattern_table, reproducer_config)
+        except Exception as exc:  # an unexpected failure costs only this package
+            logger.exception("scan of package %s failed", name)
+            return [_failed(Verdict(package=name, version=v), exc) for v in versions]
 
-    items = sorted(set(batch))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, items))
+            groups = list(pool.map(work, packages.items()))
     else:
-        results = [work(item) for item in items]
+        groups = [work(package) for package in packages.items()]
 
+    results = [pair for group in groups for pair in group]
     verdicts = [v for v, _ in results]
     vectors = [vec for _, vec in results if vec is not None]
     return ScanOutcome(verdicts=verdicts, vectors=vectors)
@@ -471,51 +475,19 @@ def retrain(
     assume_unflagged_benign: bool = False,
     nu: float = 0.001,
 ) -> tuple[dict[str, object], dict[str, str]]:
-    """Train all three models from the corpus.
+    """Train all three models from the corpus; see `train_all`.
 
     Unlabeled scanned vectors participate as benign only when
     assume_unflagged_benign is set (the assumption inflates false
-    negatives over time, so it is off by default). Models whose
-    per-model preconditions fail are skipped with a reason; having no
-    trainable model is an error.
+    negatives over time, so it is off by default).
     """
-    entries = corpus.vectors(include_unlabeled=assume_unflagged_benign)
-    vectors = []
-    for entry in entries:
-        vector = entry.vector
-        if vector.label is None:
-            vector = vector.with_label(BENIGN)
-        vectors.append(vector)
-
-    labels = [v.label for v in vectors]
-    n_mal = labels.count(MALICIOUS)
-    n_ben = labels.count(BENIGN)
-
-    X, schema = encode_dataset(vectors)
-    y = np.asarray(labels, dtype=object)
-
-    models: dict[str, object] = {}
-    skipped: dict[str, str] = {}
-    if n_mal and n_ben:
-        models[MODEL_TREE] = DecisionTreeClassifier().fit(X, y, schema=schema)
-        Xb, schema_b = booleanize_rows(X, schema)
-        models[MODEL_NB] = BernoulliNaiveBayes().fit(Xb, y, schema=schema_b)
-    else:
-        reason = "corpus does not contain both classes"
-        skipped[MODEL_TREE] = reason
-        skipped[MODEL_NB] = reason
-
-    if n_ben >= 2:
-        benign_rows = X[y == BENIGN]
-        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(benign_rows, schema=schema)
-    else:
-        skipped[MODEL_SVM] = "one-class SVM needs at least 2 benign rows"
-
-    if not models:
-        raise TooFewSamples("corpus cannot train any model: " + "; ".join(
-            f"{k}: {v}" for k, v in skipped.items()
-        ))
-    return models, skipped
+    vectors = [
+        entry.vector if entry.vector.label is not None
+        else entry.vector.with_label(BENIGN)
+        for entry in corpus.vectors(include_unlabeled=assume_unflagged_benign)
+    ]
+    data = LabeledDataset.from_vectors(vectors)
+    return train_all(data.rows, data.labels, data.schema, nu=nu)
 
 
 # --- reporting ---

@@ -6,6 +6,10 @@ registry document layout: ``versions`` plus a ``time`` map) and
 all; it is the mode desk-scale runs and the test suite use. HTTP mode
 talks to a real registry with retries and an optional on-disk tarball
 cache. All timestamps leave this module as UTC seconds.
+
+``fetch_tarball(name, version, dist)`` verifies against the ``dist`` entry
+of a document the caller holds and never reads the document itself, so a
+scan reads each package's document once.
 """
 
 from __future__ import annotations
@@ -109,6 +113,13 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _check_version(version: str) -> str:
+    """Reject versions that would act as a path in a tarball file name."""
+    if not version or "/" in version or "\\" in version:
+        raise ValueError(f"invalid version: {version!r}")
+    return version
+
+
 class FixtureRegistry:
     """Registry backed by a local directory; never touches the network."""
 
@@ -125,16 +136,11 @@ class FixtureRegistry:
             raise MalformedDocument(f"fixture document {path}: {exc}") from exc
         return _parse_document(name, doc)
 
-    def fetch_tarball(self, name: str, version: str) -> bytes:
-        path = self.root / f"{_check_name(name)}-{version}.tgz"
+    def fetch_tarball(self, name: str, version: str, dist: dict | None) -> bytes:
+        path = self.root / f"{_check_name(name)}-{_check_version(version)}.tgz"
         if not path.is_file():
             raise NotFound(f"no fixture tarball for {name}@{version}")
         data = path.read_bytes()
-        try:
-            document = self.fetch_document(name)
-            dist = document.dist.get(version)
-        except (NotFound, MalformedDocument):
-            dist = None
         verify_integrity(data, dist, f"{name}@{version}")
         return data
 
@@ -225,11 +231,10 @@ class HttpRegistry:
         safe = name.replace("/", "__")
         return self.cache_dir / f"{safe}-{version}.tgz"
 
-    def fetch_tarball(self, name: str, version: str) -> bytes:
-        document = self.fetch_document(name)
-        if version not in document.versions:
-            raise NotFound(f"{name}@{version} not in registry document")
-        dist = document.dist.get(version)
+    def fetch_tarball(self, name: str, version: str, dist: dict | None) -> bytes:
+        _check_version(version)
+        if dist is None:
+            raise NotFound(f"no dist entry for {name}@{version}")
 
         cached = self._cache_path(name, version)
         if cached is not None and cached.is_file():

@@ -171,10 +171,6 @@ class VersionTimeline:
         raise UnknownVersion(f"{self.package}@{version} not in timeline")
 
 
-def previous_version(timeline: VersionTimeline, version: str) -> tuple[str, float] | None:
-    return timeline.previous_version(version)
-
-
 def time_between(prev_ts: float, next_ts: float) -> float:
     """Seconds elapsed between two publication timestamps."""
     if next_ts < prev_ts:

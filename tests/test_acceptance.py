@@ -380,7 +380,7 @@ def test_c09_end_to_end_fixture_scan(tmp_path):
     start = time.monotonic()
     builder, batch, hash_set, expected = _acceptance_registry(tmp_path)
     data = LabeledDataset.from_vectors(build_training_vectors(100, 300, seed=2024))
-    models = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
 
     registry = FixtureRegistry(builder.root)
     outcome = scan(registry, batch, models, hash_set,
@@ -428,7 +428,8 @@ def test_c10_performance_envelopes(tmp_path):
 
     extract_times = []
     for name, version in batch:
-        artifact = load_tarball(registry.fetch_tarball(name, version))
+        dist = registry.fetch_document(name).dist.get(version)
+        artifact = load_tarball(registry.fetch_tarball(name, version, dist))
         t0 = time.monotonic()
         extract_features(artifact)
         extract_times.append(time.monotonic() - t0)
@@ -447,7 +448,7 @@ def test_c10_performance_envelopes(tmp_path):
     X[:, 10] = rng.uniform(0, 1e6, size=n)       # seconds since previous
     X[np.arange(n), 11 + rng.integers(0, 6, n)] = 1.0
     t0 = time.monotonic()
-    models = train_all(X, labels)
+    models, _ = train_all(X, labels)
     train_elapsed = time.monotonic() - t0
     train_ok = train_elapsed < 30.0
 
@@ -496,7 +497,7 @@ def test_c11_pipeline_invariants(tmp_path):
     # Scan idempotence plus audit re-derivation on a real fixture batch.
     builder, batch, hash_set, _ = _acceptance_registry(tmp_path)
     data = LabeledDataset.from_vectors(build_training_vectors(30, 90, seed=77))
-    models = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
     registry = FixtureRegistry(builder.root)
     sub_batch = batch[:8] + [("typosquat-0", "3.1.9")]
     one = scan(registry, sub_batch, models, hash_set)

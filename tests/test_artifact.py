@@ -82,6 +82,16 @@ def test_manifest_parse_error():
         load_tarball(data)
 
 
+# Deeper than the JSON decoder's recursion limit.
+DEEP_MANIFEST = b"[" * 200_000 + b"]" * 200_000
+
+
+def test_manifest_nesting_too_deep():
+    data = raw_tgz([("package/package.json", DEEP_MANIFEST, "file")])
+    with pytest.raises(ManifestParseError):
+        load_tarball(data)
+
+
 def test_directories_ignored():
     data = raw_tgz([
         ("package/lib", None, "dir"),

@@ -1,9 +1,12 @@
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import PACK, make_manifest, make_tgz
+from conftest import PACK, make_manifest, make_tgz, raw_tgz
+from pkgwatch import pipeline
 from pkgwatch.artifact import load_tarball
 from pkgwatch.classifiers import MODEL_IDS, MODEL_NB, MODEL_SVM, MODEL_TREE, train_all
 from pkgwatch.clones import MalwareHashSet, canonical_digest
@@ -44,7 +47,8 @@ def trained_models():
     from pkgwatch.classifiers import LabeledDataset
 
     data = LabeledDataset.from_vectors(build_training_vectors(40, 120, seed=1))
-    return train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    return models
 
 
 def test_derive_final_rules():
@@ -196,11 +200,104 @@ def test_scan_parallel_matches_serial(registry_builder, trained_models, tmp_path
     seeded_registry(registry_builder)
     registry = FixtureRegistry(registry_builder.root)
     hash_set = MalwareHashSet(tmp_path / "hashes.txt")
+    # In-batch predecessors: webframe 0.0.2 precedes 0.0.3, each 3.1.8 its 3.1.9.
     batch = [(f"benign-{i:02d}", "1.0.0") for i in range(10)]
+    batch += [("webframe", "0.0.2"), ("webframe", "0.0.3")]
+    batch += [(f"typo-target-{i}", v) for i in range(3) for v in ("3.1.8", "3.1.9")]
     serial = scan(registry, batch, trained_models, hash_set, jobs=1)
     parallel = scan(registry, batch, trained_models, hash_set, jobs=4)
     assert [v.to_record() for v in serial.verdicts] == \
            [v.to_record() for v in parallel.verdicts]
+    assert serial.vectors == parallel.vectors
+    assert len(serial.vectors) == len(batch)
+
+
+class CountingRegistry:
+    """Forwards to a registry and counts the calls a scan makes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def fetch_document(self, name):
+        self.calls["fetch_document"] += 1
+        return self.inner.fetch_document(name)
+
+    def fetch_tarball(self, name, version, dist):
+        self.calls["fetch_tarball"] += 1
+        return self.inner.fetch_tarball(name, version, dist)
+
+
+# Publish order 1.9.0, 1.10.0, 1.11.0 differs from string order ("1.10.0" < "1.9.0").
+@pytest.mark.parametrize("batch, fetched, update_types", [
+    ([("lib", "1.10.0"), ("lib", "1.11.0")], ("1.9.0", "1.10.0", "1.11.0"),
+     [UpdateType.MINOR, UpdateType.MINOR]),
+    ([("lib", "1.9.0"), ("lib", "1.10.0")], ("1.9.0", "1.10.0"),
+     [UpdateType.FIRST, UpdateType.MINOR]),
+])
+def test_scan_reads_document_once_and_each_version_once(
+        batch, fetched, update_types, registry_builder, trained_models, tmp_path,
+        monkeypatch):
+    for version, day in (("1.9.0", 1), ("1.10.0", 2), ("1.11.0", 3)):
+        registry_builder.add_version(
+            "lib", version, published=f"2021-08-0{day}T00:00:00Z",
+            files={"index.js": f"exports.v = '{version}';\n" * day},
+        )
+    fixture = FixtureRegistry(registry_builder.root)
+    registry = CountingRegistry(fixture)
+    hash_set = MalwareHashSet(tmp_path / "hashes.txt")
+    extracted = Counter()
+    extract = pipeline.extract_features
+
+    def counting_extract(artifact, table):
+        extracted[artifact.version] += 1
+        return extract(artifact, table)
+
+    monkeypatch.setattr(pipeline, "extract_features", counting_extract)
+    outcome = scan(registry, batch, trained_models, hash_set)
+
+    assert registry.calls == {"fetch_document": 1, "fetch_tarball": len(fetched)}
+    assert extracted == dict.fromkeys(fetched, 1)
+    alone = {item: scan(fixture, [item], trained_models, hash_set).vectors[0]
+             for item in batch}
+    assert outcome.vectors == [alone[item] for item in sorted(batch)]
+    assert [alone[item].update_type for item in batch] == update_types
+
+
+def test_scan_hostile_items_become_error_verdicts(registry_builder, trained_models,
+                                                  tmp_path, monkeypatch):
+    from test_artifact import DEEP_MANIFEST
+
+    seeded_registry(registry_builder)
+    hostile = raw_tgz([("package/package.json", DEEP_MANIFEST, "file")])
+    registry_builder.add_version(
+        "deep", "1.0.0", published="2021-08-02T00:00:00Z",
+        declared_shasum=hashlib.sha1(hostile).hexdigest(),
+    )
+    (registry_builder.root / "deep-1.0.0.tgz").write_bytes(hostile)
+    registry = FixtureRegistry(registry_builder.root)
+    hash_set = MalwareHashSet(tmp_path / "hashes.txt")
+
+    outcome = scan(registry, [("deep", "1.0.0"), ("benign-00", "1.0.0")],
+                   trained_models, hash_set)
+    finals = {v.package: v.final for v in outcome.verdicts}
+    assert finals == {"deep": ERROR, "benign-00": CLEAN}
+
+    # An exception of any type costs only its own package's items.
+    extract = pipeline.extract_features
+
+    def failing_extract(artifact, table):
+        if artifact.name == "benign-01":
+            raise RuntimeError("extractor bug")
+        return extract(artifact, table)
+
+    monkeypatch.setattr(pipeline, "extract_features", failing_extract)
+    for jobs in (1, 2):
+        outcome = scan(registry, [("benign-00", "1.0.0"), ("benign-01", "1.0.0")],
+                       trained_models, hash_set, jobs=jobs)
+        assert [(v.package, v.final, v.error) for v in outcome.verdicts] == [
+            ("benign-00", CLEAN, None), ("benign-01", ERROR, "extractor bug"),
+        ]
 
 
 def test_flagged_but_reproducible_is_auto_cleared(registry_builder, trained_models,

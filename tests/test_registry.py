@@ -3,6 +3,8 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +33,7 @@ def test_fixture_unknown_package(registry_builder):
     with pytest.raises(NotFound):
         registry.fetch_document("ghost")
     with pytest.raises(NotFound):
-        registry.fetch_tarball("ghost", "1.0.0")
+        registry.fetch_tarball("ghost", "1.0.0", None)
 
 
 def test_fixture_malformed_document(registry_builder):
@@ -45,15 +47,18 @@ def test_fixture_tarball_loads(registry_builder):
     registry_builder.add_version("pkg", "1.0.0", published=T0,
                                  files={"index.js": "1"})
     registry = FixtureRegistry(registry_builder.root)
-    artifact = load_tarball(registry.fetch_tarball("pkg", "1.0.0"))
+    dist = registry.fetch_document("pkg").dist["1.0.0"]
+    artifact = load_tarball(registry.fetch_tarball("pkg", "1.0.0", dist))
     assert artifact.name == "pkg"
 
 
 def test_fixture_integrity_mismatch(registry_builder):
     registry_builder.add_version("pkg", "1.0.0", published=T0,
                                  declared_shasum="0" * 40)
+    registry = FixtureRegistry(registry_builder.root)
+    dist = registry.fetch_document("pkg").dist["1.0.0"]
     with pytest.raises(IntegrityMismatch):
-        FixtureRegistry(registry_builder.root).fetch_tarball("pkg", "1.0.0")
+        registry.fetch_tarball("pkg", "1.0.0", dist)
 
 
 def test_fixture_scoped_package(registry_builder):
@@ -61,7 +66,7 @@ def test_fixture_scoped_package(registry_builder):
     registry = FixtureRegistry(registry_builder.root)
     document = registry.fetch_document("@scope/pkg")
     assert document.name == "@scope/pkg"
-    assert registry.fetch_tarball("@scope/pkg", "1.0.0")
+    assert registry.fetch_tarball("@scope/pkg", "1.0.0", document.dist["1.0.0"])
 
 
 def test_list_new_versions_window(registry_builder):
@@ -92,8 +97,8 @@ def test_fixture_mode_performs_no_network_io(registry_builder, monkeypatch):
     monkeypatch.setattr(socket, "create_connection", explode)
 
     registry = FixtureRegistry(registry_builder.root)
-    registry.fetch_document("pkg")
-    registry.fetch_tarball("pkg", "1.0.0")
+    document = registry.fetch_document("pkg")
+    registry.fetch_tarball("pkg", "1.0.0", document.dist["1.0.0"])
     registry.list_new_versions(0.0, 1e12)
 
 
@@ -205,20 +210,23 @@ def test_http_transport_error_after_retries(http_registry):
 
 def test_http_tarball_with_cache(http_registry, tmp_path):
     http_registry.cache_dir = tmp_path / "cache"
-    data = http_registry.fetch_tarball("web-pkg", "1.0.0")
+    dist = http_registry.fetch_document("web-pkg").dist["1.0.0"]
+    data = http_registry.fetch_tarball("web-pkg", "1.0.0", dist)
     assert load_tarball(data).name == "web-pkg"
     tarball_requests = [p for p in _Handler.requests_seen if "tarballs" in p]
     assert len(tarball_requests) == 1
 
     # Second fetch comes from the cache.
-    http_registry.fetch_tarball("web-pkg", "1.0.0")
+    http_registry.fetch_tarball("web-pkg", "1.0.0", dist)
     tarball_requests = [p for p in _Handler.requests_seen if "tarballs" in p]
     assert len(tarball_requests) == 1
 
 
 def test_http_unknown_version(http_registry):
     with pytest.raises(NotFound):
-        http_registry.fetch_tarball("web-pkg", "9.9.9")
+        http_registry.fetch_tarball(
+            "web-pkg", "9.9.9", http_registry.fetch_document("web-pkg").dist.get("9.9.9")
+        )
 
 
 def test_http_list_new_versions_requires_names(http_registry):
@@ -228,10 +236,38 @@ def test_http_list_new_versions_requires_names(http_registry):
     assert [(n, v) for n, v, _ in rows] == [("web-pkg", "1.0.0")]
 
 
+UNSAFE_VERSIONS = ("", "1.0.0/../../../escaped", "1.0.0\\..\\escaped")
+
+
 def test_fixture_rejects_unsafe_names(registry_builder):
     registry = FixtureRegistry(registry_builder.root)
     for bad in ("../escape", "/abs/path", "a/../../b", ""):
         with pytest.raises(ValueError):
             registry.fetch_document(bad)
         with pytest.raises(ValueError):
-            registry.fetch_tarball(bad, "1.0.0")
+            registry.fetch_tarball(bad, "1.0.0", None)
+    for bad in UNSAFE_VERSIONS:
+        with pytest.raises(ValueError):
+            registry.fetch_tarball("pkg", bad, None)
+
+
+def test_http_cache_rejects_unsafe_versions(tmp_path):
+    tarball = make_tgz(name="web-pkg", version="1.0.0")
+
+    class Session:
+        def get(self, url, timeout):
+            return SimpleNamespace(status_code=200, content=tarball)
+
+    cache_dir = tmp_path / "a" / "b" / "cache"
+    registry = HttpRegistry("https://registry.invalid", session=Session(),
+                            cache_dir=cache_dir)
+    dist = {"tarball": "https://registry.invalid/web-pkg.tgz",
+            "shasum": hashlib.sha1(tarball).hexdigest()}
+    for bad in UNSAFE_VERSIONS:
+        with pytest.raises(ValueError):
+            registry.fetch_tarball("web-pkg", bad, dist)
+    assert list(tmp_path.rglob("*")) == []
+    # The same session and dist with a plain version fill the cache.
+    assert registry.fetch_tarball("web-pkg", "1.0.0", dist) == tarball
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*.tgz")] == \
+        [Path("a/b/cache/web-pkg-1.0.0.tgz")]
