@@ -336,10 +336,10 @@ def calibrate_nu_cmd(settings: Settings, grid, k):
 
 
 def _labeled_dataset(settings: Settings) -> LabeledDataset:
-    entries = settings.corpus().vectors(include_unlabeled=False)
-    if not entries:
+    data = settings.corpus().training_set()
+    if not len(data.labels):
         raise click.UsageError("corpus has no labeled vectors")
-    return LabeledDataset.from_vectors([e.vector for e in entries])
+    return data
 
 
 @cli.command(name="report")

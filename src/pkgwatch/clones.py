@@ -99,6 +99,7 @@ class MalwareHashSet:
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._entries: dict[ContentDigest, CloneProvenance] = {}
+        self._algorithms: frozenset[str] = frozenset()
         self._lock = threading.Lock()
         if self._path is not None and self._path.exists():
             self._load()
@@ -113,6 +114,7 @@ class MalwareHashSet:
             self._entries.setdefault(
                 digest, CloneProvenance(package, version, added)
             )
+        self._algorithms = frozenset(d.algorithm for d in self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -121,7 +123,7 @@ class MalwareHashSet:
         return digest in self._entries
 
     def algorithms(self) -> set[str]:
-        return {d.algorithm for d in self._entries}
+        return set(self._algorithms)
 
     def register(
         self,
@@ -140,6 +142,7 @@ class MalwareHashSet:
                 date_added=date_added or date.today().isoformat(),
             )
             self._entries[digest] = provenance
+            self._algorithms |= {digest.algorithm}
             if self._path is not None:
                 with open(self._path, "a", encoding="utf-8") as fh:
                     fh.write(
@@ -155,11 +158,21 @@ class MalwareHashSet:
 
 
 def find_clone(
-    artifact: PackageArtifact, hash_set: MalwareHashSet
+    artifact: PackageArtifact,
+    hash_set: MalwareHashSet,
+    known: ContentDigest | None = None,
 ) -> CloneProvenance | None:
-    """Exact-match lookup of the artifact against known-malicious digests."""
+    """Exact-match lookup of the artifact against known-malicious digests.
+
+    `known`, the artifact's canonical digest in one algorithm if the caller
+    has it, is used instead of hashing the artifact again in that algorithm.
+    """
     for algorithm in sorted(hash_set.algorithms()):
-        match = hash_set.lookup(canonical_digest(artifact, algorithm))
+        if known is not None and known.algorithm == algorithm:
+            digest = known
+        else:
+            digest = canonical_digest(artifact, algorithm)
+        match = hash_set.lookup(digest)
         if match is not None:
             return match
     return None

@@ -6,6 +6,12 @@ clone matches are never cleared.
 A scan gives each package to one worker, which reads its document once and
 scans its items in publish order; each version's features, extracted once,
 feed its successor's change vector from that worker's locals.
+
+The corpus store folds its append-only log into columns: a key index, one
+float64 matrix of encoded rows, and parallel label and digest lists. So
+loading the corpus, building its training set and hashing that set make
+no per-row objects; `retrain` and `corpus_hash` read the same
+`CorpusStore.training_set`.
 """
 
 from __future__ import annotations
@@ -45,7 +51,17 @@ from .errors import PkgwatchError, UnknownVersion
 from .features import FeatureVector, extract_features
 from .patterns import DEFAULT_PATTERN_TABLE, PatternTable
 from .reproduce import NO_REPO, REPRODUCED, ReproducerConfig, make_plan, reproduce
-from .vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector, encode
+from .vectorize import (
+    BENIGN,
+    MALICIOUS,
+    NUMERIC_SCHEMA,
+    ChangeVector,
+    build_change_vector,
+    check_label,
+    decode,
+    encode,
+    encode_record,
+)
 from .versioning import SemVer, UpdateType, classify_update, time_between
 
 logger = logging.getLogger(__name__)
@@ -133,10 +149,15 @@ def derive_final(
 # --- persistent stores ---
 
 CORPUS_FORMAT = "pkgwatch-corpus"
+#: Leads the bytes `CorpusStore.corpus_hash` digests. Version 1 (untagged)
+#: hashed each vector's JSON record; its values are not comparable.
+CORPUS_HASH_TAG = b"pkgwatch-corpus-hash/2\n"
 
 
 @dataclass
 class StoredVector:
+    """One corpus entry, as `CorpusStore` builds it from its columns."""
+
     vector: ChangeVector
     digest: str | None = None
     label_date: str | None = None
@@ -148,44 +169,95 @@ class CorpusStore:
 
     Every mutation appends a line; the in-memory view folds the log with
     latest-label-wins semantics, so relabels are audit-visible rather than
-    silent overwrites. Keys are (package, version), unique.
+    silent overwrites. Keys are (package, version), unique: the first
+    vector of a key is kept, unless it is unlabeled and a later vector of
+    the key is labeled.
+
+    The folded view is columnar: a key -> row index dict, one float64
+    matrix of rows in NUMERIC_SCHEMA order (grown by doubling), parallel
+    label and digest lists, and label dates and histories for the rows
+    that were labeled by an event. `get`, `set_label` and `vectors` build
+    their `StoredVector`s from these on demand.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple[str, str], StoredVector] = {}
+        self._index: dict[tuple[str, str], int] = {}
+        self._keys: list[tuple[str, str]] = []
+        self._rows = np.empty((0, len(NUMERIC_SCHEMA)))
+        self._labels: list[str | None] = []
+        self._digests: list[str | None] = []
+        self._label_dates: dict[int, str | None] = {}
+        self._histories: dict[int, list[str]] = {}
+        self._training_sets: dict[bool, tuple[np.ndarray, LabeledDataset]] = {}
         self._lock = threading.Lock()
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        lineno = 1
         with open(self.path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != CORPUS_FORMAT:
-                raise ValueError(f"not a corpus file: {self.path}")
-            for line in fh:
-                if line.strip():
-                    self._apply(json.loads(line))
+            try:
+                header = json.loads(fh.readline())
+                if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
+                    raise ValueError("not a corpus file")
+                for lineno, line in enumerate(fh, start=2):
+                    if line.strip():
+                        self._apply(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{self.path}:{lineno}: {reason}") from exc
 
     def _apply(self, event: dict) -> None:
+        if not isinstance(event, dict):
+            raise ValueError("event is not a JSON object")
         kind = event.get("event")
         if kind == "vector":
-            vector = ChangeVector.from_record(event["vector"])
-            key = (vector.package, vector.version)
-            entry = self._entries.get(key)
-            if entry is None:
-                self._entries[key] = StoredVector(
-                    vector=vector, digest=event.get("digest")
-                )
-            elif entry.vector.label is None and vector.label is not None:
-                entry.vector = vector
+            record = event["vector"]
+            row = encode_record(record)
+            label = record.get("label")
+            key = (record["package"], record["version"])
+            index = self._index.get(key)
+            if index is None:
+                self._insert(key, row, label, event.get("digest"))
+            elif self._labels[index] is None and label is not None:
+                self._rows[index] = row
+                self._labels[index] = label
+                self._training_sets.clear()
         elif kind == "label":
-            key = (event["package"], event["version"])
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry.vector = entry.vector.with_label(event["label"])
-                entry.label_date = event.get("date")
-                entry.label_history.append(event["label"])
+            label = check_label(event["label"])
+            index = self._index.get((event["package"], event["version"]))
+            if index is not None:
+                self._relabel(index, label, event.get("date"))
+
+    def _insert(self, key: tuple[str, str], row: list[float], label: str | None,
+                digest: str | None) -> None:
+        index = len(self._keys)
+        if index == len(self._rows):
+            grown = np.empty((max(64, 2 * index), self._rows.shape[1]))
+            grown[:index] = self._rows
+            self._rows = grown
+        self._rows[index] = row
+        self._index[key] = index
+        self._keys.append(key)
+        self._labels.append(label)
+        self._digests.append(digest)
+        self._training_sets.clear()
+
+    def _relabel(self, index: int, label: str | None, date: str | None) -> None:
+        self._labels[index] = label
+        self._label_dates[index] = date
+        self._histories.setdefault(index, []).append(label)
+        self._training_sets.clear()
+
+    def _stored(self, index: int) -> StoredVector:
+        package, version = self._keys[index]
+        return StoredVector(
+            vector=decode(self._rows[index].tolist(), package, version, self._labels[index]),
+            digest=self._digests[index],
+            label_date=self._label_dates.get(index),
+            label_history=list(self._histories.get(index, ())),
+        )
 
     def _append(self, event: dict) -> None:
         new_file = not self.path.exists()
@@ -195,62 +267,92 @@ class CorpusStore:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
+        return key in self._index
 
     def get(self, package: str, version: str) -> StoredVector | None:
-        return self._entries.get((package, version))
+        index = self._index.get((package, version))
+        return None if index is None else self._stored(index)
 
     def add_vector(self, vector: ChangeVector, digest: str | None = None) -> bool:
         """Record a vector; existing (package, version) entries are kept."""
         with self._lock:
             key = (vector.package, vector.version)
-            if key in self._entries:
+            if key in self._index:
                 return False
-            self._entries[key] = StoredVector(vector=vector, digest=digest)
-            self._append(
-                {"event": "vector", "vector": vector.to_record(), "digest": digest}
-            )
+            record = vector.to_record()
+            self._insert(key, encode_record(record), vector.label, digest)
+            self._append({"event": "vector", "vector": record, "digest": digest})
             return True
 
     def set_label(self, package: str, version: str, label: str) -> StoredVector:
         if label not in (MALICIOUS, BENIGN):
             raise ValueError(f"label must be malicious/benign, got {label!r}")
         with self._lock:
-            entry = self._entries.get((package, version))
-            if entry is None:
+            index = self._index.get((package, version))
+            if index is None:
                 raise UnknownVersion(f"{package}@{version} not in corpus")
-            if entry.vector.label is not None and entry.vector.label != label:
+            previous = self._labels[index]
+            if previous is not None and previous != label:
                 logger.warning(
-                    "relabeling %s@%s: %s -> %s",
-                    package, version, entry.vector.label, label,
+                    "relabeling %s@%s: %s -> %s", package, version, previous, label,
                 )
-            event = {
+            date = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            self._append({
                 "event": "label",
                 "package": package,
                 "version": version,
                 "label": label,
-                "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            }
-            self._append(event)
-            self._apply(event)
-            return entry
+                "date": date,
+            })
+            self._relabel(index, label, date)
+            return self._stored(index)
+
+    def _training(self, include_unlabeled: bool) -> tuple[np.ndarray, LabeledDataset]:
+        """`training_set` and the row index of each of its rows, kept until
+        the next change to the store."""
+        with self._lock:
+            cached = self._training_sets.get(include_unlabeled)
+            if cached is not None:
+                return cached
+            by_key = sorted(range(len(self._keys)), key=self._keys.__getitem__)
+            order = np.array(by_key, dtype=np.intp)
+            labels = np.array(self._labels, dtype=object)[order]
+            unlabeled = np.equal(labels, None)
+            if include_unlabeled:
+                labels[unlabeled] = BENIGN
+            else:
+                order, labels = order[~unlabeled], labels[~unlabeled]
+            rows = self._rows[order]
+            rows.flags.writeable = labels.flags.writeable = False
+            cached = order, LabeledDataset(rows=rows, labels=labels, schema=NUMERIC_SCHEMA)
+            self._training_sets[include_unlabeled] = cached
+            return cached
 
     def vectors(self, include_unlabeled: bool = False) -> list[StoredVector]:
-        entries = sorted(self._entries.items())
-        return [
-            e for _, e in entries
-            if include_unlabeled or e.vector.label is not None
-        ]
+        order, _ = self._training(include_unlabeled)
+        return [self._stored(i) for i in order.tolist()]
+
+    def training_set(self, include_unlabeled: bool = False) -> LabeledDataset:
+        """Rows sorted by key; unlabeled rows are included as benign when
+        include_unlabeled is set and left out otherwise."""
+        return self._training(include_unlabeled)[1]
 
     def corpus_hash(self, include_unlabeled: bool = False) -> str:
-        hasher = hashlib.sha256()
-        for entry in self.vectors(include_unlabeled):
-            hasher.update(
-                json.dumps(entry.vector.to_record(), sort_keys=True).encode()
-            )
+        """sha256 of what `training_set(include_unlabeled)` trains on:
+        CORPUS_HASH_TAG, the compact JSON list of its [package, version]
+        keys, one byte per row (1 malicious, 0 benign), then its rows as
+        little-endian float64 in C order."""
+        order, data = self._training(include_unlabeled)
+        keys = [self._keys[i] for i in order.tolist()]
+        hasher = hashlib.sha256(CORPUS_HASH_TAG)
+        hasher.update(
+            json.dumps(keys, check_circular=False, separators=(",", ":")).encode()
+        )
+        hasher.update(np.equal(data.labels, MALICIOUS).tobytes())
+        hasher.update(np.ascontiguousarray(data.rows, dtype="<f8"))
         return hasher.hexdigest()
 
 
@@ -352,7 +454,8 @@ def _scan_package(
                     "manifest says %s@%s but registry coordinates are %s@%s",
                     artifact.name, artifact.version, name, version,
                 )
-            verdict.digest = str(canonical_digest(artifact))
+            digest = canonical_digest(artifact)
+            verdict.digest = str(digest)
 
             previous = timeline.previous_version(version)
             if previous is None:
@@ -375,7 +478,7 @@ def _scan_package(
 
             row = np.asarray(encode(vector).values)
             verdict.model_flags = predict_all(models, row)
-            verdict.clone_match = find_clone(artifact, hash_set)
+            verdict.clone_match = find_clone(artifact, hash_set, digest)
 
             if verdict.model_flagged and reproducer_config is not None:
                 plan = make_plan(artifact.manifest, version, reproducer_config)
@@ -481,12 +584,7 @@ def retrain(
     assume_unflagged_benign is set (the assumption inflates false
     negatives over time, so it is off by default).
     """
-    vectors = [
-        entry.vector if entry.vector.label is not None
-        else entry.vector.with_label(BENIGN)
-        for entry in corpus.vectors(include_unlabeled=assume_unflagged_benign)
-    ]
-    data = LabeledDataset.from_vectors(vectors)
+    data = corpus.training_set(include_unlabeled=assume_unflagged_benign)
     return train_all(data.rows, data.labels, data.schema, nu=nu)
 
 

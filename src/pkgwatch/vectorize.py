@@ -13,7 +13,8 @@ time are omitted because they are not Boolean-representable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -37,6 +38,13 @@ NUMERIC_SCHEMA: tuple[str, ...] = (
 BOOLEAN_SCHEMA: tuple[str, ...] = (
     COUNT_FIELDS + tuple(f"update_{t.value}" for t in UPDATE_TYPE_ORDER)
 )
+
+
+def check_label(label):
+    """Return `label` if a ChangeVector may carry it; raise ValueError if not."""
+    if label not in (None, MALICIOUS, BENIGN):
+        raise ValueError(f"unknown label: {label!r}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -65,14 +73,10 @@ class ChangeVector:
             raise ValueError("deltas must have one value per feature field")
         if self.time_since_prev < 0:
             raise ValueError("time_since_prev must be >= 0")
-        if self.label not in (None, MALICIOUS, BENIGN):
-            raise ValueError(f"unknown label: {self.label!r}")
+        check_label(self.label)
 
     def delta(self, field: str) -> float:
         return self.deltas[FEATURE_FIELDS.index(field)]
-
-    def with_label(self, label: str | None) -> "ChangeVector":
-        return replace(self, label=label)
 
     def to_record(self) -> dict:
         record = {
@@ -145,6 +149,39 @@ def encode(vec: ChangeVector) -> EncodedRow:
     """Full numeric encoding for the tree and SVM."""
     values = vec.deltas + (vec.time_since_prev,) + _one_hot(vec.update_type)
     return EncodedRow(values=values, schema=NUMERIC_SCHEMA)
+
+
+_deltas_of = operator.itemgetter(*FEATURE_FIELDS)
+_ONE_HOT = {t.value: list(_one_hot(t)) for t in UPDATE_TYPE_ORDER}
+
+
+def encode_record(record: dict) -> list[float]:
+    """`encode` of the vector a `ChangeVector.to_record` record holds,
+    checked as `ChangeVector.from_record` checks it, without building it."""
+    row = list(map(float, _deltas_of(record["deltas"])))
+    elapsed = float(record["time_since_prev"])
+    if elapsed < 0:
+        raise ValueError("time_since_prev must be >= 0")
+    one_hot = _ONE_HOT.get(record["update_type"])
+    if one_hot is None:
+        raise ValueError(f"unknown update type: {record['update_type']!r}")
+    check_label(record.get("label"))
+    row.append(elapsed)
+    return row + one_hot
+
+
+def decode(row: list[float], package: str, version: str,
+           label: str | None = None) -> ChangeVector:
+    """The ChangeVector whose `encode` is `row`."""
+    n = len(FEATURE_FIELDS)
+    return ChangeVector(
+        package=package,
+        version=version,
+        deltas=tuple(row[:n]),
+        update_type=UPDATE_TYPE_ORDER[row[n + 1:].index(1.0)],
+        time_since_prev=row[n],
+        label=label,
+    )
 
 
 def encode_boolean(vec: ChangeVector) -> EncodedRow:

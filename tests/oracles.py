@@ -3,12 +3,17 @@
 Everything here is deliberately naive and shares no code with the package:
 histogram entropy in pure Python, exhaustive split search for the tree,
 direct Bernoulli posterior arithmetic, and a generic quadratic-programming
-solve of the one-class SVM dual.
+solve of the one-class SVM dual. The one exception is the corpus fold,
+which keeps one `ChangeVector` per (package, version) as the store did
+before it became columnar, so it reads records through the package's
+`ChangeVector.from_record`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -168,3 +173,46 @@ def qp_one_class_svm(Z, nu: float) -> tuple[np.ndarray, np.ndarray, float]:
         hi = g[alpha <= margin].min() if (alpha <= margin).any() else None
         rho = float((lo + hi) / 2.0) if lo is not None and hi is not None else float(lo or hi)
     return alpha, w, rho
+
+
+# --- corpus fold ---
+
+class ReferenceCorpus:
+    """Object-per-row fold of a corpus log: the first vector of a key wins
+    unless it is unlabeled and a later one is labeled; label events apply
+    latest-wins and keep their history; labels of unknown keys are dropped."""
+
+    def __init__(self, path):
+        from pkgwatch.vectorize import ChangeVector
+
+        self.entries = {}  # key -> {"vector", "digest", "date", "history"}
+        with open(path, encoding="utf-8") as fh:
+            assert json.loads(fh.readline())["format"] == "pkgwatch-corpus"
+            for line in fh:
+                if not line.strip():
+                    continue
+                event = json.loads(line)
+                if event["event"] == "vector":
+                    vector = ChangeVector.from_record(event["vector"])
+                    key = (vector.package, vector.version)
+                    entry = self.entries.get(key)
+                    if entry is None:
+                        self.entries[key] = {"vector": vector, "digest": event.get("digest"),
+                                             "date": None, "history": []}
+                    elif entry["vector"].label is None and vector.label is not None:
+                        entry["vector"] = vector
+                elif event["event"] == "label":
+                    entry = self.entries.get((event["package"], event["version"]))
+                    if entry is not None:
+                        entry["vector"] = replace(entry["vector"], label=event["label"])
+                        entry["date"] = event.get("date")
+                        entry["history"].append(event["label"])
+
+    def training_vectors(self, include_unlabeled: bool) -> list:
+        """Vectors sorted by key; unlabeled ones relabeled benign or left out."""
+        from pkgwatch.vectorize import BENIGN
+
+        vectors = [self.entries[key]["vector"] for key in sorted(self.entries)]
+        if include_unlabeled:
+            return [v if v.label is not None else replace(v, label=BENIGN) for v in vectors]
+        return [v for v in vectors if v.label is not None]

@@ -122,3 +122,38 @@ def test_mixed_algorithms_in_set(tmp_path):
     artifact = load_tarball(make_tgz(files=PAYLOAD))
     hash_set.register(canonical_digest(artifact, "blake2b-128"), "p", "1.0.0")
     assert find_clone(artifact, hash_set).package == "p"
+
+
+def test_algorithms_follow_load_and_register(tmp_path):
+    path = tmp_path / "hashes.txt"
+    hash_set = MalwareHashSet(path)
+    artifact = load_tarball(make_tgz(files=PAYLOAD))
+    assert hash_set.algorithms() == set()
+    hash_set.register(canonical_digest(artifact, "md5"), "p", "1.0.0")
+    assert hash_set.algorithms() == {"md5"}
+    hash_set.register(canonical_digest(artifact, "blake2b-128"), "p", "1.0.0")
+    assert hash_set.algorithms() == {"md5", "blake2b-128"}
+    assert MalwareHashSet(path).algorithms() == {"md5", "blake2b-128"}
+
+
+def test_find_clone_reuses_the_known_digest(monkeypatch):
+    from pkgwatch import clones
+
+    hash_set = MalwareHashSet()
+    other = load_tarball(make_tgz(name="other", files={"y.js": "eval(c)"}))
+    for algorithm in ("md5", "blake2b-128"):
+        hash_set.register(canonical_digest(other, algorithm), "other", "1.0.0")
+    artifact = load_tarball(make_tgz(files=PAYLOAD))
+    known = canonical_digest(artifact, "md5")
+    hashed = []
+    digest = clones.canonical_digest
+
+    def counting_digest(artifact, algorithm="md5"):
+        hashed.append(algorithm)
+        return digest(artifact, algorithm)
+
+    monkeypatch.setattr(clones, "canonical_digest", counting_digest)
+    assert find_clone(artifact, hash_set, known) is None
+    assert hashed == ["blake2b-128"]
+    hash_set.register(known, "stealer", "1.0.0")
+    assert find_clone(artifact, hash_set, known).package == "stealer"

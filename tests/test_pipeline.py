@@ -1,14 +1,25 @@
 import hashlib
 import json
+import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import PACK, make_manifest, make_tgz, raw_tgz
+from oracles import ReferenceCorpus
 from pkgwatch import pipeline
 from pkgwatch.artifact import load_tarball
-from pkgwatch.classifiers import MODEL_IDS, MODEL_NB, MODEL_SVM, MODEL_TREE, train_all
+from pkgwatch.classifiers import (
+    MODEL_IDS,
+    MODEL_NB,
+    MODEL_SVM,
+    MODEL_TREE,
+    LabeledDataset,
+    train_all,
+)
 from pkgwatch.clones import MalwareHashSet, canonical_digest
 from pkgwatch.errors import TooFewSamples, UnknownVersion
 from pkgwatch.features import FeatureVector
@@ -29,7 +40,7 @@ from pkgwatch.pipeline import (
 )
 from pkgwatch.registry import FixtureRegistry
 from pkgwatch.reproduce import REPRODUCED, ReproducerConfig
-from pkgwatch.vectorize import BENIGN, MALICIOUS, build_change_vector
+from pkgwatch.vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector
 from pkgwatch.versioning import UpdateType
 
 from test_features import EXFIL_SCRIPT
@@ -264,6 +275,31 @@ def test_scan_reads_document_once_and_each_version_once(
     assert [alone[item].update_type for item in batch] == update_types
 
 
+def test_scan_digests_each_item_once_per_algorithm(registry_builder, trained_models,
+                                                  tmp_path, monkeypatch):
+    from pkgwatch import clones
+
+    seeded_registry(registry_builder)
+    registry = FixtureRegistry(registry_builder.root)
+    hash_set = MalwareHashSet(tmp_path / "hashes.txt")
+    other = load_tarball(make_tgz(name="other", files={"y.js": "eval(c)"}))
+    for algorithm in ("md5", "blake2b-128"):
+        hash_set.register(canonical_digest(other, algorithm), "other", "1.0.0")
+    hashed = Counter()
+    digest = clones.canonical_digest
+
+    def counting_digest(artifact, algorithm="md5"):
+        hashed[algorithm] += 1
+        return digest(artifact, algorithm)
+
+    monkeypatch.setattr(clones, "canonical_digest", counting_digest)
+    monkeypatch.setattr(pipeline, "canonical_digest", counting_digest)
+    batch = [("benign-00", "1.0.0"), ("benign-01", "1.0.0")]
+    outcome = scan(registry, batch, trained_models, hash_set)
+    assert [v.final for v in outcome.verdicts] == [CLEAN, CLEAN]
+    assert hashed == {"md5": 2, "blake2b-128": 2}
+
+
 def test_scan_hostile_items_become_error_verdicts(registry_builder, trained_models,
                                                   tmp_path, monkeypatch):
     from test_artifact import DEEP_MANIFEST
@@ -377,6 +413,191 @@ def test_corpus_hash_changes_with_content(tmp_path):
     h1 = store.corpus_hash()
     store.add_vector(first_vector(package="q", label=BENIGN))
     assert store.corpus_hash() != h1
+
+
+def test_corpus_hash_equal_in_memory_and_reloaded(tmp_path):
+    path = tmp_path / "c.jsonl"
+    store = CorpusStore(path)
+    store.add_vector(first_vector(package="m", label=MALICIOUS), digest="md5:" + "1" * 32)
+    store.add_vector(first_vector(package="u"))
+    store.add_vector(build_change_vector(
+        FeatureVector(fs_access=2), FeatureVector(entropy_mean=4.25), UpdateType.MINOR,
+        12.5, package="b", version="1.1.0", label=BENIGN,
+    ))
+    store.set_label("m", "1.0.0", BENIGN)
+    reloaded = CorpusStore(path)
+    for include_unlabeled in (False, True):
+        assert reloaded.corpus_hash(include_unlabeled) == store.corpus_hash(include_unlabeled)
+
+
+def test_corpus_hash_changes_on_relabel(tmp_path):
+    store = CorpusStore(tmp_path / "c.jsonl")
+    store.add_vector(first_vector(package="a", label=BENIGN))
+    store.add_vector(first_vector(package="b", label=BENIGN))
+    before = store.corpus_hash()
+    store.set_label("b", "1.0.0", MALICIOUS)
+    assert store.corpus_hash() != before
+
+
+def test_corpus_hash_counts_unlabeled_as_the_benign_rows_they_train_as(tmp_path):
+    unlabeled = CorpusStore(tmp_path / "u.jsonl")
+    labeled = CorpusStore(tmp_path / "l.jsonl")
+    for store, label in ((unlabeled, None), (labeled, BENIGN)):
+        store.add_vector(first_vector(package="m", label=MALICIOUS))
+        store.add_vector(first_vector(package="x", label=label))
+    assert unlabeled.corpus_hash(True) == labeled.corpus_hash(True)
+    assert unlabeled.corpus_hash(False) != labeled.corpus_hash(False)
+
+
+def test_corpus_hash_definition(tmp_path):
+    store = CorpusStore(tmp_path / "c.jsonl")
+    store.add_vector(first_vector(package="z", label=BENIGN))
+    store.add_vector(first_vector(package="a", label=MALICIOUS))
+    store.add_vector(first_vector(package="u"))
+    data = store.training_set(include_unlabeled=True)
+    expected = hashlib.sha256(
+        b"pkgwatch-corpus-hash/2\n"
+        + b'[["a","1.0.0"],["u","1.0.0"],["z","1.0.0"]]'
+        + bytes([1, 0, 0])
+        + data.rows.astype("<f8").tobytes()
+    ).hexdigest()
+    assert store.corpus_hash(include_unlabeled=True) == expected
+
+
+def test_corpus_store_concurrent_adds_and_reads(tmp_path):
+    path = tmp_path / "c.jsonl"
+    store = CorpusStore(path)
+    writers, per_writer = 4, 300
+
+    def add(writer):
+        for i in range(per_writer):
+            label = (None, MALICIOUS, BENIGN)[i % 3]
+            store.add_vector(first_vector(package=f"w{writer}-{i:03d}", label=label))
+
+    errors = []
+
+    def read():
+        try:
+            while any(t.is_alive() for t in threads[:writers]):
+                assert len(store.training_set(include_unlabeled=True).labels) <= len(store)
+                store.corpus_hash()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=add, args=(w,)) for w in range(writers)]
+        threads += [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store) == writers * per_writer
+    reloaded = CorpusStore(path)
+    for include_unlabeled in (False, True):
+        assert store.corpus_hash(include_unlabeled) == reloaded.corpus_hash(include_unlabeled)
+        assert len(store.training_set(include_unlabeled).labels) == \
+            len(reloaded.training_set(include_unlabeled).labels)
+
+
+def write_corpus_log(path, seed: int) -> None:
+    """A corpus log with every case of the fold: unlabeled rows, relabels,
+    labeled vectors replacing unlabeled ones, duplicate vectors and labels
+    of unknown keys, interleaved at random."""
+    rng = np.random.default_rng(seed)
+    update_types = list(UpdateType)
+
+    def vector(package, version, label):
+        update_type = update_types[rng.integers(len(update_types))]
+        first = update_type is UpdateType.FIRST
+        record = ChangeVector(
+            package=package, version=version,
+            deltas=tuple(float(d) for d in rng.normal(0, 3, 10).round(rng.integers(0, 4))),
+            update_type=update_type,
+            time_since_prev=0.0 if first else float(rng.exponential(1e5)),
+            label=label,
+        ).to_record()
+        digest = None if rng.random() < 0.3 else f"md5:{rng.integers(1 << 60):032x}"
+        return {"event": "vector", "vector": record, "digest": digest}
+
+    def labeling(package, version, label):
+        return {"event": "label", "package": package, "version": version,
+                "label": label, "date": f"2021-08-{rng.integers(1, 29):02d}T00:00:00+00:00"}
+
+    keys = [(f"pkg-{i:03d}", f"1.{i % 4}.0") for i in range(120)]
+    labels = [None, None, MALICIOUS, BENIGN]
+    events = [vector(*keys[i], labels[rng.integers(4)]) for i in rng.integers(0, 120, 200)]
+    events += [labeling(*keys[i], (MALICIOUS, BENIGN)[rng.integers(2)])
+               for i in rng.integers(0, 120, 60)]
+    events += [labeling("ghost", "0.0.1", MALICIOUS)]
+    rng.shuffle(events)
+    events += [
+        vector("swap", "1.0.0", None), vector("swap", "1.0.0", MALICIOUS),
+        vector("dup", "1.0.0", BENIGN), vector("dup", "1.0.0", MALICIOUS),
+        vector("relabel", "1.0.0", None),
+        labeling("relabel", "1.0.0", MALICIOUS), labeling("relabel", "1.0.0", BENIGN),
+        labeling("ghost", "0.0.2", BENIGN),
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format": "pkgwatch-corpus"}) + "\n")
+        for event in events:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_corpus_store_matches_object_per_row_fold(tmp_path, seed):
+    path = tmp_path / "c.jsonl"
+    write_corpus_log(path, seed)
+    store, oracle = CorpusStore(path), ReferenceCorpus(path)
+    assert len(store) == len(oracle.entries)
+    assert store.get("swap", "1.0.0").vector.label == MALICIOUS
+    assert store.get("dup", "1.0.0").vector.label == BENIGN
+    assert store.get("relabel", "1.0.0").label_history == [MALICIOUS, BENIGN]
+    assert store.get("ghost", "0.0.1") is None
+    for include_unlabeled in (False, True):
+        data = store.training_set(include_unlabeled)
+        expected = LabeledDataset.from_vectors(oracle.training_vectors(include_unlabeled))
+        assert data.rows.dtype == expected.rows.dtype
+        assert data.rows.tobytes() == expected.rows.tobytes()
+        assert data.labels.tolist() == expected.labels.tolist()
+        assert data.schema == expected.schema
+        assert [
+            (e.vector, e.digest, e.label_date, e.label_history)
+            for e in store.vectors(include_unlabeled)
+        ] == [
+            (entry["vector"], entry["digest"], entry["date"], entry["history"])
+            for entry in (oracle.entries[key] for key in sorted(oracle.entries))
+            if include_unlabeled or entry["vector"].label is not None
+        ]
+
+
+VALID_RECORD = first_vector().to_record()
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"event": "vector", "vector": ', "Expecting value"),
+    (json.dumps({"event": "vector", "vector": {
+        k: v for k, v in VALID_RECORD.items() if k != "time_since_prev"}}),
+     "missing field 'time_since_prev'"),
+    (json.dumps({"event": "vector", "vector": {**VALID_RECORD, "update_type": "sideways"}}),
+     "unknown update type: 'sideways'"),
+    (json.dumps({"event": "vector", "vector": {**VALID_RECORD, "time_since_prev": -1.0}}),
+     "time_since_prev must be >= 0"),
+    (json.dumps({"event": "label", "package": "p", "version": "1.0.0", "label": "evil"}),
+     "unknown label: 'evil'"),
+], ids=["bad-json", "missing-field", "unknown-update-type", "negative-time", "bad-label"])
+def test_corpus_load_error_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "c.jsonl"
+    CorpusStore(path).add_vector(first_vector())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {reason}")):
+        CorpusStore(path)
 
 
 def test_label_true_positive_registers_digest(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +13,11 @@ from pkgwatch.vectorize import (
     ChangeVector,
     booleanize_rows,
     build_change_vector,
+    decode,
     encode,
     encode_boolean,
     encode_dataset,
+    encode_record,
     read_vectors,
     write_vectors,
 )
@@ -201,3 +205,16 @@ def test_encode_injective(a, b, update_type, dt):
         assert a.as_tuple() == b.as_tuple() or all(
             x - y == y - x for x, y in zip(a.as_tuple(), b.as_tuple())
         )
+
+
+@given(feature_vectors, feature_vectors,
+       st.sampled_from([t for t in UpdateType if t is not UpdateType.FIRST]),
+       st.floats(0.0, 1e7, allow_nan=False),
+       st.sampled_from([None, "malicious", "benign"]))
+def test_encode_record_and_decode_match_the_vector(prev, cur, update_type, dt, label):
+    vec = build_change_vector(prev, cur, update_type, dt, package="p", version="2.0.0",
+                              label=label)
+    record = json.loads(json.dumps(vec.to_record()))
+    row = encode_record(record)
+    assert row == list(encode(ChangeVector.from_record(record)).values)
+    assert decode(row, "p", "2.0.0", label) == vec
