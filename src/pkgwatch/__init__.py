@@ -22,7 +22,7 @@ from .patterns import DEFAULT_PATTERN_TABLE, PatternRule, PatternTable, load_pat
 from .pipeline import CorpusStore, ModelStore, ScanReport, Verdict, retrain, scan
 from .registry import FixtureRegistry, HttpRegistry, open_registry
 from .reproduce import ReproducePlan, ReproducerConfig, compare_artifacts, make_plan, reproduce
-from .vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector, encode, encode_boolean
+from .vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector, encode
 from .versioning import SemVer, UpdateType, VersionTimeline, classify_update
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "compare_artifacts",
     "cross_validate",
     "encode",
-    "encode_boolean",
     "extract_features",
     "find_clone",
     "load_model",

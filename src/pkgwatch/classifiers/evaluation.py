@@ -9,11 +9,12 @@ import numpy as np
 from ..errors import TooFewSamples
 from ..vectorize import (
     BENIGN,
+    BOOLEAN_SCHEMA,
     MALICIOUS,
     NUMERIC_SCHEMA,
     ChangeVector,
     booleanize_rows,
-    encode_dataset,
+    encode,
 )
 from .naive_bayes import BernoulliNaiveBayes
 from .ocsvm import LinearOneClassSvm
@@ -27,11 +28,10 @@ MODEL_IDS = (MODEL_TREE, MODEL_NB, MODEL_SVM)
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Numerically encoded rows with parallel {malicious, benign} labels."""
+    """Rows in NUMERIC_SCHEMA order with parallel {malicious, benign} labels."""
 
     rows: np.ndarray
     labels: np.ndarray
-    schema: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.labels):
@@ -39,18 +39,12 @@ class LabeledDataset:
 
     @classmethod
     def from_vectors(cls, vectors: list[ChangeVector]) -> "LabeledDataset":
-        unlabeled = [v for v in vectors if v.label is None]
+        unlabeled = sum(v.label is None for v in vectors)
         if unlabeled:
-            raise ValueError(f"{len(unlabeled)} vectors carry no label")
-        rows, schema = encode_dataset(vectors)
+            raise ValueError(f"{unlabeled} vectors carry no label")
+        rows = np.array([encode(v) for v in vectors], dtype=float)
         labels = np.asarray([v.label for v in vectors], dtype=object)
-        return cls(rows=rows, labels=labels, schema=schema)
-
-    def class_counts(self) -> dict[str, int]:
-        return {
-            MALICIOUS: int(np.sum(self.labels == MALICIOUS)),
-            BENIGN: int(np.sum(self.labels == BENIGN)),
-        }
+        return cls(rows=rows.reshape(-1, len(NUMERIC_SCHEMA)), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -135,10 +129,9 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 def train_all(
     X: np.ndarray,
     y: np.ndarray,
-    schema: tuple[str, ...] = NUMERIC_SCHEMA,
     nu: float = 0.001,
 ) -> tuple[dict[str, object], dict[str, str]]:
-    """Train the three models on one labeled, numerically encoded dataset.
+    """Train the three models on labeled rows in NUMERIC_SCHEMA order.
 
     The tree and SVM consume the full numeric rows (the SVM sees only the
     benign ones); Naive Bayes consumes the derived Boolean encoding.
@@ -152,16 +145,17 @@ def train_all(
     models: dict[str, object] = {}
     skipped: dict[str, str] = {}
     if n_mal and n_ben:
-        models[MODEL_TREE] = DecisionTreeClassifier().fit(X, y, schema=schema)
-        Xb, schema_b = booleanize_rows(X, schema)
-        models[MODEL_NB] = BernoulliNaiveBayes().fit(Xb, y, schema=schema_b)
+        models[MODEL_TREE] = DecisionTreeClassifier().fit(X, y, schema=NUMERIC_SCHEMA)
+        Xb = booleanize_rows(X)
+        models[MODEL_NB] = BernoulliNaiveBayes().fit(Xb, y, schema=BOOLEAN_SCHEMA)
     else:
         reason = "corpus does not contain both classes"
         skipped[MODEL_TREE] = reason
         skipped[MODEL_NB] = reason
 
     if n_ben >= 2:
-        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(X[y == BENIGN], schema=schema)
+        benign = X[y == BENIGN]
+        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(benign, schema=NUMERIC_SCHEMA)
     else:
         skipped[MODEL_SVM] = "one-class SVM needs at least 2 benign rows"
 
@@ -174,7 +168,7 @@ def train_all(
 
 def _predict_rows(models: dict[str, object], X: np.ndarray) -> dict[str, np.ndarray]:
     """Per-model predictions for numerically encoded rows; NB gets them Boolean."""
-    Xb, _ = booleanize_rows(X, NUMERIC_SCHEMA)
+    Xb = booleanize_rows(X)
     return {
         model_id: model.predict(Xb if model_id == MODEL_NB else X)
         for model_id, model in models.items()
@@ -205,7 +199,7 @@ def cross_validate(
         train_mask = ~np.isin(all_idx, test_idx)
         X_train, y_train = data.rows[train_mask], data.labels[train_mask]
         X_test, y_test = data.rows[test_idx], data.labels[test_idx]
-        models, skipped = train_all(X_train, y_train, data.schema, nu=nu)
+        models, skipped = train_all(X_train, y_train, nu=nu)
         if skipped:
             raise TooFewSamples(f"a training fold cannot train: {skipped}")
         for model_id, y_pred in _predict_rows(models, X_test).items():

@@ -36,6 +36,8 @@ class ContentDigest:
         algorithm, _, value = text.partition(":")
         if not value:
             raise ValueError(f"digest must look like 'algorithm:hex': {text!r}")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unsupported digest algorithm: {algorithm!r}")
         return cls(value=value, algorithm=algorithm)
 
 
@@ -92,8 +94,10 @@ class MalwareHashSet:
     """Digests of known-malicious packages, backed by an append-only log.
 
     File format: one entry per line,
-    ``<algorithm>:<hex>\\t<package>\\t<version>\\t<ISO date>``.
-    Reads are lock-free on an immutable snapshot; writes are serialized.
+    ``<algorithm>:<hex>\\t<package>\\t<version>\\t<ISO date>``, with an
+    algorithm from ALGORITHMS. A malformed line fails the load with
+    ``<file>:<line>: <reason>``. Reads are lock-free on an immutable
+    snapshot; writes are serialized.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -105,15 +109,19 @@ class MalwareHashSet:
             self._load()
 
     def _load(self) -> None:
-        for line in self._path.read_text(encoding="utf-8").splitlines():
+        lines = self._path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            digest_text, package, version, added = line.split("\t")
-            digest = ContentDigest.parse(digest_text)
-            self._entries.setdefault(
-                digest, CloneProvenance(package, version, added)
-            )
+            fields = line.split("\t")
+            try:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+                digest = ContentDigest.parse(fields[0])
+            except ValueError as exc:
+                raise ValueError(f"{self._path}:{lineno}: {exc}") from exc
+            self._entries.setdefault(digest, CloneProvenance(*fields[1:]))
         self._algorithms = frozenset(d.algorithm for d in self._entries)
 
     def __len__(self) -> int:

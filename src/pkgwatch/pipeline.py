@@ -7,10 +7,12 @@ A scan gives each package to one worker, which reads its document once and
 scans its items in publish order; each version's features, extracted once,
 feed its successor's change vector from that worker's locals.
 
-The corpus store folds its append-only log into columns: a key index, one
-float64 matrix of encoded rows, and parallel label and digest lists. So
-loading the corpus, building its training set and hashing that set make
-no per-row objects; `retrain` and `corpus_hash` read the same
+Between the change vector and the models there is one encoded form, the
+numeric row in NUMERIC_SCHEMA order: `predict_all` scores the row `encode`
+gives, and the corpus store folds its append-only log into columns of
+such rows (a key index, one float64 matrix, and parallel label and digest
+lists). So loading the corpus, building its training set and hashing that
+set make no per-row objects; `retrain` and `corpus_hash` read the same
 `CorpusStore.training_set`.
 """
 
@@ -176,8 +178,8 @@ class CorpusStore:
     The folded view is columnar: a key -> row index dict, one float64
     matrix of rows in NUMERIC_SCHEMA order (grown by doubling), parallel
     label and digest lists, and label dates and histories for the rows
-    that were labeled by an event. `get`, `set_label` and `vectors` build
-    their `StoredVector`s from these on demand.
+    that were labeled by an event. `get` and `set_label` build their
+    `StoredVector`s from these on demand.
     """
 
     def __init__(self, path: str | Path):
@@ -327,13 +329,9 @@ class CorpusStore:
                 order, labels = order[~unlabeled], labels[~unlabeled]
             rows = self._rows[order]
             rows.flags.writeable = labels.flags.writeable = False
-            cached = order, LabeledDataset(rows=rows, labels=labels, schema=NUMERIC_SCHEMA)
+            cached = order, LabeledDataset(rows=rows, labels=labels)
             self._training_sets[include_unlabeled] = cached
             return cached
-
-    def vectors(self, include_unlabeled: bool = False) -> list[StoredVector]:
-        order, _ = self._training(include_unlabeled)
-        return [self._stored(i) for i in order.tolist()]
 
     def training_set(self, include_unlabeled: bool = False) -> LabeledDataset:
         """Rows sorted by key; unlabeled rows are included as benign when
@@ -476,8 +474,7 @@ def _scan_package(
                     package=name, version=version,
                 )
 
-            row = np.asarray(encode(vector).values)
-            verdict.model_flags = predict_all(models, row)
+            verdict.model_flags = predict_all(models, encode(vector))
             verdict.clone_match = find_clone(artifact, hash_set, digest)
 
             if verdict.model_flagged and reproducer_config is not None:
@@ -585,7 +582,7 @@ def retrain(
     negatives over time, so it is off by default).
     """
     data = corpus.training_set(include_unlabeled=assume_unflagged_benign)
-    return train_all(data.rows, data.labels, data.schema, nu=nu)
+    return train_all(data.rows, data.labels, nu=nu)
 
 
 # --- reporting ---

@@ -47,9 +47,12 @@ class PackageDocument:
 def _parse_document(name: str, doc: dict) -> PackageDocument:
     if not isinstance(doc, dict) or not isinstance(doc.get("versions"), dict):
         raise MalformedDocument(f"registry document for {name!r} lacks versions")
+    stamps = doc.get("time") or {}
+    if not isinstance(stamps, dict):
+        raise MalformedDocument(f"registry document for {name!r} has a non-object time map")
     warnings: list[str] = []
     time_map: dict[str, float] = {}
-    for version, stamp in (doc.get("time") or {}).items():
+    for version, stamp in stamps.items():
         if version in ("created", "modified"):
             continue
         try:

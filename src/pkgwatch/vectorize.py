@@ -1,22 +1,21 @@
-"""Change vectors: feature deltas between consecutive versions, encoded
-numerically for each classifier family.
+"""Change vectors: feature deltas between consecutive versions, and the
+one numeric row every classifier is fed from.
 
-Numeric encoding (17 columns, in order): the ten feature deltas of
-FEATURE_FIELDS, ``time_since_prev``, then six one-hot update-type
-indicators (major, minor, patch, prerelease, build, first).
+Numeric encoding (17 columns, NUMERIC_SCHEMA order): the ten feature
+deltas of FEATURE_FIELDS, ``time_since_prev``, then six one-hot
+update-type indicators (major, minor, patch, prerelease, build, first).
+`encode` gives it for a vector and `encode_record` for a stored record.
 
-Boolean encoding (14 columns): the eight count deltas collapsed to
-1-if-changed, plus the six update-type indicators; entropy mean/std and
-time are omitted because they are not Boolean-representable.
+Boolean encoding (14 columns, BOOLEAN_SCHEMA order), for Naive Bayes:
+`booleanize_rows` derives it from numeric rows, the eight count deltas
+collapsed to 1-if-changed plus the six update-type indicators; entropy
+mean/std and time are omitted because they are not Boolean-representable.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -45,16 +44,6 @@ def check_label(label):
     if label not in (None, MALICIOUS, BENIGN):
         raise ValueError(f"unknown label: {label!r}")
     return label
-
-
-@dataclass(frozen=True)
-class EncodedRow:
-    values: tuple[float, ...]
-    schema: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.schema):
-            raise ValueError("row length does not match schema")
 
 
 @dataclass(frozen=True)
@@ -145,10 +134,9 @@ def _one_hot(update_type: UpdateType) -> tuple[float, ...]:
     return tuple(1.0 if t is update_type else 0.0 for t in UPDATE_TYPE_ORDER)
 
 
-def encode(vec: ChangeVector) -> EncodedRow:
-    """Full numeric encoding for the tree and SVM."""
-    values = vec.deltas + (vec.time_since_prev,) + _one_hot(vec.update_type)
-    return EncodedRow(values=values, schema=NUMERIC_SCHEMA)
+def encode(vec: ChangeVector) -> tuple[float, ...]:
+    """The vector's numeric row, in NUMERIC_SCHEMA order."""
+    return vec.deltas + (vec.time_since_prev,) + _one_hot(vec.update_type)
 
 
 _deltas_of = operator.itemgetter(*FEATURE_FIELDS)
@@ -184,49 +172,13 @@ def decode(row: list[float], package: str, version: str,
     )
 
 
-def encode_boolean(vec: ChangeVector) -> EncodedRow:
-    """Boolean encoding for Bernoulli Naive Bayes (1 iff the delta is nonzero)."""
-    bools = tuple(1.0 if d != 0 else 0.0 for d in vec.deltas[:8])
-    return EncodedRow(values=bools + _one_hot(vec.update_type), schema=BOOLEAN_SCHEMA)
+#: The NUMERIC_SCHEMA column each BOOLEAN_SCHEMA column is taken from.
+_BOOLEAN_COLUMNS = [NUMERIC_SCHEMA.index(name) for name in BOOLEAN_SCHEMA]
 
 
-def encode_dataset(vectors: Iterable[ChangeVector]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Stack numeric encodings into a 2-D float array plus its schema."""
-    rows = [encode(v).values for v in vectors]
-    if not rows:
-        return np.zeros((0, len(NUMERIC_SCHEMA))), NUMERIC_SCHEMA
-    return np.asarray(rows, dtype=float), NUMERIC_SCHEMA
-
-
-def booleanize_rows(X: np.ndarray, schema: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Derive the Boolean encoding from numerically encoded rows."""
-    if tuple(schema) != NUMERIC_SCHEMA:
-        raise ValueError("expected rows in the numeric schema")
-    X = np.asarray(X, dtype=float)
-    count_idx = [schema.index(f) for f in COUNT_FIELDS]
-    onehot_idx = [schema.index(f"update_{t.value}") for t in UPDATE_TYPE_ORDER]
-    bools = (X[:, count_idx] != 0).astype(float)
-    return np.hstack([bools, X[:, onehot_idx]]), BOOLEAN_SCHEMA
-
-
-DATASET_FORMAT = "pkgwatch-change-vectors"
-
-
-def write_vectors(path: str | Path, vectors: Iterable[ChangeVector]) -> None:
-    """One JSON record per line, preceded by a self-describing header."""
-    header = {"format": DATASET_FORMAT, "fields": list(FEATURE_FIELDS)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for vec in vectors:
-            fh.write(json.dumps(vec.to_record(), sort_keys=True) + "\n")
-
-
-def read_vectors(path: str | Path) -> list[ChangeVector]:
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            return []
-        header = json.loads(header_line)
-        if header.get("format") != DATASET_FORMAT:
-            raise ValueError(f"not a change-vector dataset: {path}")
-        return [ChangeVector.from_record(json.loads(line)) for line in fh if line.strip()]
+def booleanize_rows(X: np.ndarray) -> np.ndarray:
+    """The Boolean encoding of numeric rows: a count column is 1 iff its
+    delta is nonzero; the update-type indicators are copied."""
+    Xb = np.asarray(X, dtype=float)[:, _BOOLEAN_COLUMNS]
+    Xb[:, :len(COUNT_FIELDS)] = Xb[:, :len(COUNT_FIELDS)] != 0
+    return Xb

@@ -141,16 +141,6 @@ class VersionTimeline:
 
         return cls(package=package, entries=tuple(sorted(entries, key=sort_key)))
 
-    @classmethod
-    def from_time_map(cls, package: str, time_map: dict[str, str]) -> "VersionTimeline":
-        """Build from a registry document's time map (ISO-8601 strings)."""
-        entries = [
-            (version, parse_iso8601(stamp))
-            for version, stamp in time_map.items()
-            if version not in ("created", "modified")
-        ]
-        return cls.from_entries(package, entries)
-
     def timestamp_of(self, version: str) -> float:
         for v, ts in self.entries:
             if v == version:
@@ -180,6 +170,8 @@ def time_between(prev_ts: float, next_ts: float) -> float:
 
 def parse_iso8601(stamp: str) -> float:
     """ISO-8601 timestamp to UTC seconds; trailing Z accepted."""
+    if not isinstance(stamp, str):
+        raise TypeError(f"timestamp is not a string: {stamp!r}")
     text = stamp.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"

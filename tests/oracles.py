@@ -3,10 +3,12 @@
 Everything here is deliberately naive and shares no code with the package:
 histogram entropy in pure Python, exhaustive split search for the tree,
 direct Bernoulli posterior arithmetic, and a generic quadratic-programming
-solve of the one-class SVM dual. The one exception is the corpus fold,
-which keeps one `ChangeVector` per (package, version) as the store did
-before it became columnar, so it reads records through the package's
-`ChangeVector.from_record`.
+solve of the one-class SVM dual. Two exceptions read the package's own
+types: the corpus fold keeps one `ChangeVector` per (package, version) as
+the store did before it became columnar, so it reads records through
+`ChangeVector.from_record`; and the Boolean encoding is built one
+`ChangeVector` at a time, where the package derives it from a matrix of
+numeric rows.
 """
 
 from __future__ import annotations
@@ -173,6 +175,17 @@ def qp_one_class_svm(Z, nu: float) -> tuple[np.ndarray, np.ndarray, float]:
         hi = g[alpha <= margin].min() if (alpha <= margin).any() else None
         rho = float((lo + hi) / 2.0) if lo is not None and hi is not None else float(lo or hi)
     return alpha, w, rho
+
+
+# --- Boolean encoding ---
+
+def boolean_row(vector) -> tuple[float, ...]:
+    """Naive Bayes' 14 columns for one ChangeVector: 1 iff each of the
+    eight count deltas is nonzero, then the six update-type indicators."""
+    from pkgwatch.versioning import UPDATE_TYPE_ORDER
+
+    changed = tuple(1.0 if d != 0 else 0.0 for d in vector.deltas[:8])
+    return changed + tuple(1.0 if t is vector.update_type else 0.0 for t in UPDATE_TYPE_ORDER)
 
 
 # --- corpus fold ---

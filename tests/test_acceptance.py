@@ -380,7 +380,7 @@ def test_c09_end_to_end_fixture_scan(tmp_path):
     start = time.monotonic()
     builder, batch, hash_set, expected = _acceptance_registry(tmp_path)
     data = LabeledDataset.from_vectors(build_training_vectors(100, 300, seed=2024))
-    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, nu=0.001)
 
     registry = FixtureRegistry(builder.root)
     outcome = scan(registry, batch, models, hash_set,
@@ -497,7 +497,7 @@ def test_c11_pipeline_invariants(tmp_path):
     # Scan idempotence plus audit re-derivation on a real fixture batch.
     builder, batch, hash_set, _ = _acceptance_registry(tmp_path)
     data = LabeledDataset.from_vectors(build_training_vectors(30, 90, seed=77))
-    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, nu=0.001)
     registry = FixtureRegistry(builder.root)
     sub_batch = batch[:8] + [("typosquat-0", "3.1.9")]
     one = scan(registry, sub_batch, models, hash_set)

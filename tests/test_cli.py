@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import FixtureRegistryBuilder, build_training_vectors, make_tgz
-from pkgwatch.cli import cli, parse_spec
+from pkgwatch.cli import cli, main, parse_spec
 from pkgwatch.pipeline import CorpusStore, ModelStore, retrain
 
 
@@ -202,6 +203,20 @@ def test_hashes_export_import(runner, workspace, tmp_path):
     result = runner.invoke(cli, args + ["hashes", "import", str(exported)])
     assert result.exit_code == 0
     assert "imported 1 new digests" in result.output
+
+
+def test_hashes_import_rejects_a_malformed_list(workspace, tmp_path, capsys):
+    target = Path(workspace["hashes"])
+    target.write_text("md5:" + "ab" * 16 + "\tkept\t1.0.0\t2021-08-01\n")
+    before = target.read_bytes()
+    incoming = tmp_path / "incoming.txt"
+    incoming.write_text("md5:" + "cd" * 16 + "\tnew\t1.0.0\t2021-08-01\n"
+                        "sha256:00ff\tbad\t1.0.0\t2021-08-01\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["hashes", "import", str(incoming)])
+    assert exit_info.value.code == 2
+    assert f"{incoming}:2: unsupported digest algorithm: 'sha256'" in capsys.readouterr().err
+    assert target.read_bytes() == before
 
 
 def test_reproduce_command_no_repo(runner, workspace):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import make_tgz
@@ -55,6 +57,30 @@ def test_digest_parse_round_trip():
     assert ContentDigest.parse(str(d)) == d
     with pytest.raises(ValueError):
         ContentDigest.parse("no-colon")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("sha256:00ff", "unsupported digest algorithm: 'sha256'"),
+    (":00ff", "unsupported digest algorithm: ''"),
+    ("md5:", "digest must look like 'algorithm:hex'"),
+], ids=["unknown-algorithm", "empty-algorithm", "empty-value"])
+def test_digest_parse_rejects_unknown_algorithm_and_empty_value(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        ContentDigest.parse(text)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("sha256:00ff\tp\t1.0.0\t2021-08-01", "unsupported digest algorithm: 'sha256'"),
+    ("md5:\tp\t1.0.0\t2021-08-01", "digest must look like 'algorithm:hex'"),
+    ("md5:00ff\tp", "expected 4 tab-separated fields, got 2"),
+    ("md5:00ff\tp\t1.0.0\t2021-08-01\textra", "expected 4 tab-separated fields, got 5"),
+], ids=["unknown-algorithm", "empty-value", "two-fields", "five-fields"])
+def test_hash_list_load_error_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "hashes.txt"
+    path.write_text("# known malware\n" + "md5:" + "ab" * 16 + "\tok\t1.0.0\t2021-08-01\n"
+                    + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason}")):
+        MalwareHashSet(path)
 
 
 def test_register_and_find_clone(tmp_path):

@@ -12,7 +12,7 @@ from pkgwatch.classifiers import (
 )
 from pkgwatch.errors import TooFewSamples
 from pkgwatch.features import FeatureVector
-from pkgwatch.vectorize import build_change_vector, encode_dataset
+from pkgwatch.vectorize import build_change_vector
 from pkgwatch.versioning import UpdateType
 
 M, B = "malicious", "benign"
@@ -183,10 +183,10 @@ def test_labeled_dataset_rejects_unlabeled():
         LabeledDataset.from_vectors([vec])
 
 
-def test_encode_dataset_empty():
-    X, schema = encode_dataset([])
-    assert X.shape == (0, 17)
-    assert len(schema) == 17
+def test_from_vectors_empty():
+    data = LabeledDataset.from_vectors([])
+    assert data.rows.shape == (0, 17)
+    assert data.labels.shape == (0,)
 
 
 def test_zero_member_class_rejected():

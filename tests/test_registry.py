@@ -43,6 +43,46 @@ def test_fixture_malformed_document(registry_builder):
         FixtureRegistry(registry_builder.root).fetch_document("bad")
 
 
+def test_document_time_map_skips_pseudo_keys(registry_builder):
+    registry_builder.root.mkdir(parents=True)
+    (registry_builder.root / "p.meta").write_text(json.dumps({
+        "name": "p",
+        "versions": {"1.0.0": {}, "1.0.1": {}},
+        "time": {
+            "created": "2021-07-01T00:00:00.000Z",
+            "modified": "2021-08-01T00:00:00.000Z",
+            "1.0.0": "2021-07-01T12:00:00.000Z",
+            "1.0.1": "2021-07-02T12:00:00.000Z",
+        },
+    }))
+    document = FixtureRegistry(registry_builder.root).fetch_document("p")
+    assert [v for v, _ in document.timeline().entries] == ["1.0.0", "1.0.1"]
+    assert document.warnings == ()
+
+
+@pytest.mark.parametrize("time_map, malformed", [
+    ({"1.0.0": 1704067200}, False),
+    ({"1.0.0": None, "1.0.1": ["2024-01-01T00:00:00Z"]}, False),
+    (["2024-01-01T00:00:00Z"], True),
+    ("2024-01-01T00:00:00Z", True),
+], ids=["epoch-number", "null-and-list", "list", "string"])
+def test_bad_time_map_costs_only_its_document(registry_builder, time_map, malformed):
+    registry_builder.add_version("good", "1.0.0", published="2024-01-02T00:00:00Z")
+    (registry_builder.root / "bad.meta").write_text(json.dumps({
+        "name": "bad", "versions": {"1.0.0": {}, "1.0.1": {}}, "time": time_map,
+    }))
+    registry = FixtureRegistry(registry_builder.root)
+    if malformed:
+        with pytest.raises(MalformedDocument):
+            registry.fetch_document("bad")
+    else:
+        document = registry.fetch_document("bad")
+        assert document.time == {}
+        assert any("unparseable timestamp for 1.0.0" in w for w in document.warnings)
+    window = registry.list_new_versions(0.0, 2e9)
+    assert [(n, v) for n, v, _ in window] == [("good", "1.0.0")]
+
+
 def test_fixture_tarball_loads(registry_builder):
     registry_builder.add_version("pkg", "1.0.0", published=T0,
                                  files={"index.js": "1"})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_artifact
+from oracles import boolean_row
 from pkgwatch.errors import InconsistentFirstVersion
 from pkgwatch.features import FEATURE_FIELDS, FeatureVector, extract_features
 from pkgwatch.vectorize import (
@@ -15,11 +16,7 @@ from pkgwatch.vectorize import (
     build_change_vector,
     decode,
     encode,
-    encode_boolean,
-    encode_dataset,
     encode_record,
-    read_vectors,
-    write_vectors,
 )
 from pkgwatch.versioning import UpdateType
 
@@ -36,6 +33,20 @@ feature_vectors = st.builds(
     entropy_mean=st.floats(0.0, 8.0, allow_nan=False),
     entropy_std=st.floats(0.0, 4.0, allow_nan=False),
 )
+
+
+@st.composite
+def change_vectors(draw):
+    """A ChangeVector of any update type between two random feature vectors."""
+    update_type = draw(st.sampled_from(list(UpdateType)))
+    if update_type is UpdateType.FIRST:
+        return build_change_vector(None, draw(feature_vectors), update_type, 0.0)
+    return build_change_vector(draw(feature_vectors), draw(feature_vectors), update_type,
+                               draw(st.floats(0.0, 1e7, allow_nan=False)))
+
+
+def booleanize_one(vec: ChangeVector) -> np.ndarray:
+    return booleanize_rows([encode(vec)])[0]
 
 
 @given(feature_vectors)
@@ -94,57 +105,52 @@ def open_harvester() -> str:
 def test_encode_shape_and_one_hot():
     vec = build_change_vector(None, FeatureVector(), UpdateType.FIRST, 0.0)
     row = encode(vec)
-    assert len(row.values) == 17
-    assert row.schema == NUMERIC_SCHEMA
-    assert row.values[row.schema.index("update_first")] == 1.0
-    assert sum(row.values[11:]) == 1.0
+    assert len(row) == len(NUMERIC_SCHEMA) == 17
+    assert row[NUMERIC_SCHEMA.index("update_first")] == 1.0
+    assert sum(row[11:]) == 1.0
 
 
 def test_encode_patch_one_hot():
     fv = FeatureVector()
     vec = build_change_vector(fv, fv, UpdateType.PATCH, 3.0)
     row = encode(vec)
-    assert row.values[row.schema.index("update_patch")] == 1.0
-    assert row.values[row.schema.index("time_since_prev")] == 3.0
+    assert row[NUMERIC_SCHEMA.index("update_patch")] == 1.0
+    assert row[NUMERIC_SCHEMA.index("time_since_prev")] == 3.0
 
 
-def test_encode_boolean_shape():
+def test_booleanize_rows_shape():
     fv = FeatureVector()
     cur = FeatureVector(fs_access=3)
-    row = encode_boolean(build_change_vector(fv, cur, UpdateType.MAJOR, 5.0))
-    assert len(row.values) == 14
-    assert row.schema == BOOLEAN_SCHEMA
-    assert row.values[row.schema.index("fs_access")] == 1.0
-    assert row.values[row.schema.index("update_major")] == 1.0
-    assert sum(row.values) == 2.0
+    row = booleanize_one(build_change_vector(fv, cur, UpdateType.MAJOR, 5.0))
+    assert row.shape == (len(BOOLEAN_SCHEMA),) == (14,)
+    assert row[BOOLEAN_SCHEMA.index("fs_access")] == 1.0
+    assert row[BOOLEAN_SCHEMA.index("update_major")] == 1.0
+    assert row.sum() == 2.0
 
 
-def test_encode_boolean_negative_delta_is_present():
+def test_booleanize_rows_negative_delta_is_changed():
     prev = FeatureVector(install_scripts=1)
     cur = FeatureVector(install_scripts=0)
-    row = encode_boolean(build_change_vector(prev, cur, UpdateType.PATCH, 1.0))
-    assert row.values[row.schema.index("install_scripts")] == 1.0
+    row = booleanize_one(build_change_vector(prev, cur, UpdateType.PATCH, 1.0))
+    assert row[BOOLEAN_SCHEMA.index("install_scripts")] == 1.0
 
 
-def test_encode_boolean_omits_continuous_fields():
+def test_boolean_schema_omits_continuous_fields():
     assert "entropy_mean" not in BOOLEAN_SCHEMA
     assert "entropy_std" not in BOOLEAN_SCHEMA
     assert "time_since_prev" not in BOOLEAN_SCHEMA
 
 
-def test_encode_boolean_all_zero_first():
+def test_booleanize_rows_all_zero_first():
     vec = build_change_vector(None, FeatureVector(), UpdateType.FIRST, 0.0)
-    row = encode_boolean(vec)
-    nonzero = {f for f, v in zip(row.schema, row.values) if v != 0.0}
+    row = booleanize_one(vec)
+    nonzero = {f for f, v in zip(BOOLEAN_SCHEMA, row) if v != 0.0}
     assert nonzero == {"update_first"}
 
 
-@given(feature_vectors, feature_vectors,
-       st.sampled_from([t for t in UpdateType if t is not UpdateType.FIRST]),
-       st.floats(0.0, 1e7, allow_nan=False))
-def test_encode_boolean_values_binary(prev, cur, update_type, dt):
-    row = encode_boolean(build_change_vector(prev, cur, update_type, dt))
-    assert set(row.values) <= {0.0, 1.0}
+@given(change_vectors())
+def test_booleanize_rows_values_binary(vec):
+    assert set(booleanize_one(vec).tolist()) <= {0.0, 1.0}
 
 
 @given(feature_vectors, feature_vectors, feature_vectors)
@@ -156,32 +162,11 @@ def test_subtraction_linearity(a, b, c):
     assert summed == pytest.approx(list(ac.deltas), abs=1e-9)
 
 
-def test_booleanize_rows_matches_encode_boolean():
-    rng = np.random.default_rng(3)
-    vectors = []
-    for i in range(20):
-        prev = FeatureVector(fs_access=int(rng.integers(0, 4)))
-        cur = FeatureVector(fs_access=int(rng.integers(0, 4)),
-                            pii_access=int(rng.integers(0, 2)))
-        update_type = [t for t in UpdateType if t is not UpdateType.FIRST][i % 5]
-        vectors.append(build_change_vector(prev, cur, update_type, float(i)))
-    X, schema = encode_dataset(vectors)
-    Xb, schema_b = booleanize_rows(X, schema)
-    assert schema_b == BOOLEAN_SCHEMA
-    for row, vec in zip(Xb, vectors):
-        assert tuple(row) == encode_boolean(vec).values
-
-
-def test_write_read_round_trip(tmp_path):
-    vectors = [
-        build_change_vector(None, FeatureVector(pii_access=1), UpdateType.FIRST,
-                            0.0, package="a", version="1.0.0", label="malicious"),
-        build_change_vector(FeatureVector(), FeatureVector(), UpdateType.PATCH,
-                            9.5, package="b", version="2.0.0"),
-    ]
-    path = tmp_path / "vectors.jsonl"
-    write_vectors(path, vectors)
-    assert read_vectors(path) == vectors
+@given(st.lists(change_vectors(), min_size=1, max_size=8))
+def test_booleanize_rows_matches_per_vector_oracle(vectors):
+    Xb = booleanize_rows(np.array([encode(v) for v in vectors]))
+    assert Xb.dtype == np.float64
+    assert [tuple(row) for row in Xb.tolist()] == [boolean_row(v) for v in vectors]
 
 
 def test_change_vector_validation():
@@ -201,7 +186,7 @@ def test_change_vector_validation():
 def test_encode_injective(a, b, update_type, dt):
     one = encode(build_change_vector(a, b, update_type, dt))
     two = encode(build_change_vector(b, a, update_type, dt))
-    if one.values == two.values:
+    if one == two:
         assert a.as_tuple() == b.as_tuple() or all(
             x - y == y - x for x, y in zip(a.as_tuple(), b.as_tuple())
         )
@@ -216,5 +201,5 @@ def test_encode_record_and_decode_match_the_vector(prev, cur, update_type, dt, l
                               label=label)
     record = json.loads(json.dumps(vec.to_record()))
     row = encode_record(record)
-    assert row == list(encode(ChangeVector.from_record(record)).values)
+    assert row == list(encode(ChangeVector.from_record(record)))
     assert decode(row, "p", "2.0.0", label) == vec

@@ -126,16 +126,6 @@ def test_time_between():
         time_between(10.0, 9.0)
 
 
-def test_from_time_map_skips_pseudo_keys():
-    timeline = VersionTimeline.from_time_map("p", {
-        "created": "2021-07-01T00:00:00.000Z",
-        "modified": "2021-08-01T00:00:00.000Z",
-        "1.0.0": "2021-07-01T12:00:00.000Z",
-        "1.0.1": "2021-07-02T12:00:00.000Z",
-    })
-    assert [v for v, _ in timeline.entries] == ["1.0.0", "1.0.1"]
-
-
 def test_parse_iso8601_z_suffix():
     assert parse_iso8601("1970-01-01T00:00:00Z") == 0.0
     assert parse_iso8601("1970-01-01T01:00:00+01:00") == 0.0
