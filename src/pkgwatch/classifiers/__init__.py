@@ -1,11 +1,13 @@
-"""Classifier estimators, evaluation harness, and model persistence."""
+"""Classifier estimators, the model table, evaluation harness, and model
+persistence."""
 
-from .base import BaseEstimator, check_labels, check_matrix
+from .base import check_labels, check_matrix
 from .evaluation import (
     MODEL_IDS,
     MODEL_NB,
     MODEL_SVM,
     MODEL_TREE,
+    MODELS,
     CrossValidationResult,
     LabeledDataset,
     Metrics,
@@ -17,16 +19,16 @@ from .evaluation import (
 )
 from .naive_bayes import BernoulliNaiveBayes
 from .ocsvm import LinearOneClassSvm
-from .serialize import load_model, model_document, save_model
-from .tree import DecisionTreeClassifier, information_gain
+from .serialize import load_model, save_model
+from .tree import DecisionTreeClassifier
 
 __all__ = [
-    "BaseEstimator",
     "BernoulliNaiveBayes",
     "CrossValidationResult",
     "DecisionTreeClassifier",
     "LabeledDataset",
     "LinearOneClassSvm",
+    "MODELS",
     "MODEL_IDS",
     "MODEL_NB",
     "MODEL_SVM",
@@ -36,9 +38,7 @@ __all__ = [
     "check_labels",
     "check_matrix",
     "cross_validate",
-    "information_gain",
     "load_model",
-    "model_document",
     "predict_all",
     "save_model",
     "stratified_folds",

@@ -1,49 +1,17 @@
-"""Minimal sklearn-compatible estimator base and input validation helpers.
+"""Input validation shared by the three estimators.
 
-Estimators follow the familiar conventions: constructor arguments are
-hyperparameters mirrored as attributes, state learned by ``fit`` gets a
-trailing underscore, ``fit`` returns ``self``, and ``get_params`` /
-``set_params`` allow composition with pipeline/search tooling that speaks
-the same protocol.
+Each estimator's ``fit`` returns ``self`` and stores what it learned in
+attributes with a trailing underscore. The estimators know nothing of
+column names: `evaluation.MODELS` says which columns each model reads,
+and `serialize` checks a model file against them when it is loaded.
 """
 
 from __future__ import annotations
-
-import inspect
-from typing import Any
 
 import numpy as np
 
 from ..errors import SchemaMismatch
 from ..vectorize import BENIGN, MALICIOUS
-
-
-class BaseEstimator:
-    """get_params/set_params backed by the subclass __init__ signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self, deep: bool = True) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params: Any) -> "BaseEstimator":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:
@@ -75,21 +43,6 @@ def check_labels(y, n_rows: int) -> np.ndarray:
     return y
 
 
-def check_schema(
-    trained_schema: tuple[str, ...] | None, schema: tuple[str, ...] | None
-) -> None:
-    """Reject prediction input whose schema differs from training."""
-    if trained_schema is not None and schema is not None:
-        if tuple(schema) != tuple(trained_schema):
-            raise SchemaMismatch(
-                f"row schema {list(schema)} does not match training schema"
-            )
-
-
 def labels_to_binary(y: np.ndarray) -> np.ndarray:
     """malicious -> 1, benign -> 0."""
     return np.fromiter((1 if v == MALICIOUS else 0 for v in y), dtype=int, count=len(y))
-
-
-def binary_to_labels(bits: np.ndarray) -> np.ndarray:
-    return np.asarray([MALICIOUS if b else BENIGN for b in bits], dtype=object)

@@ -1,4 +1,5 @@
-"""Labeled datasets, metrics, and stratified k-fold cross-validation."""
+"""The model table, labeled datasets, metrics, and stratified k-fold
+cross-validation."""
 
 from __future__ import annotations
 
@@ -23,7 +24,20 @@ from .tree import DecisionTreeClassifier
 MODEL_TREE = "decision-tree"
 MODEL_NB = "naive-bayes"
 MODEL_SVM = "one-class-svm"
-MODEL_IDS = (MODEL_TREE, MODEL_NB, MODEL_SVM)
+#: Each model's class and the columns it reads, in the order it reads them.
+#: Training and scoring derive each model's input from its columns, and
+#: model files are checked against them when loaded.
+MODELS: dict[str, tuple[type, tuple[str, ...]]] = {
+    MODEL_TREE: (DecisionTreeClassifier, NUMERIC_SCHEMA),
+    MODEL_NB: (BernoulliNaiveBayes, BOOLEAN_SCHEMA),
+    MODEL_SVM: (LinearOneClassSvm, NUMERIC_SCHEMA),
+}
+MODEL_IDS = tuple(MODELS)
+
+
+def _model_input(model_id: str, X: np.ndarray) -> np.ndarray:
+    """Numeric rows as `model_id` reads them: Boolean ones for Naive Bayes."""
+    return booleanize_rows(X) if MODELS[model_id][1] is BOOLEAN_SCHEMA else X
 
 
 @dataclass(frozen=True)
@@ -145,17 +159,16 @@ def train_all(
     models: dict[str, object] = {}
     skipped: dict[str, str] = {}
     if n_mal and n_ben:
-        models[MODEL_TREE] = DecisionTreeClassifier().fit(X, y, schema=NUMERIC_SCHEMA)
-        Xb = booleanize_rows(X)
-        models[MODEL_NB] = BernoulliNaiveBayes().fit(Xb, y, schema=BOOLEAN_SCHEMA)
+        for model_id in (MODEL_TREE, MODEL_NB):
+            cls, _ = MODELS[model_id]
+            models[model_id] = cls().fit(_model_input(model_id, X), y)
     else:
         reason = "corpus does not contain both classes"
         skipped[MODEL_TREE] = reason
         skipped[MODEL_NB] = reason
 
     if n_ben >= 2:
-        benign = X[y == BENIGN]
-        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(benign, schema=NUMERIC_SCHEMA)
+        models[MODEL_SVM] = LinearOneClassSvm(nu=nu).fit(X[y == BENIGN])
     else:
         skipped[MODEL_SVM] = "one-class SVM needs at least 2 benign rows"
 
@@ -167,10 +180,9 @@ def train_all(
 
 
 def _predict_rows(models: dict[str, object], X: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-model predictions for numerically encoded rows; NB gets them Boolean."""
-    Xb = booleanize_rows(X)
+    """Per-model predictions for numerically encoded rows."""
     return {
-        model_id: model.predict(Xb if model_id == MODEL_NB else X)
+        model_id: model.predict(_model_input(model_id, X))
         for model_id, model in models.items()
     }
 

@@ -14,16 +14,15 @@ import numpy as np
 
 from ..errors import EmptyDataset, SingleClassError
 from ..vectorize import BENIGN, MALICIOUS
-from .base import BaseEstimator, check_labels, check_matrix, check_schema, labels_to_binary
+from .base import check_labels, check_matrix, labels_to_binary
 
 CLASSES = (BENIGN, MALICIOUS)
+#: Laplace smoothing: ALPHA pseudo-rows with each column 0 and ALPHA with it 1, per class.
+ALPHA = 1.0
 
 
-class BernoulliNaiveBayes(BaseEstimator):
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
-
-    def fit(self, X, y, schema: tuple[str, ...] | None = None) -> "BernoulliNaiveBayes":
+class BernoulliNaiveBayes:
+    def fit(self, X, y) -> "BernoulliNaiveBayes":
         X = check_matrix(X)
         if X.shape[0] == 0:
             raise EmptyDataset("naive bayes requires at least one row")
@@ -33,10 +32,8 @@ class BernoulliNaiveBayes(BaseEstimator):
         if len(np.unique(y01)) < 2:
             raise SingleClassError("training data must contain both classes")
 
-        self.schema_ = tuple(schema) if schema is not None else None
         self.n_features_ = X.shape[1]
         n = X.shape[0]
-        a = float(self.alpha)
 
         # theta_[c, j] = P(x_j = 1 | class c), rows ordered per CLASSES.
         theta = np.empty((2, X.shape[1]))
@@ -44,7 +41,7 @@ class BernoulliNaiveBayes(BaseEstimator):
         for c, bit in ((0, 0), (1, 1)):
             mask = y01 == bit
             n_c = int(mask.sum())
-            theta[c] = (X[mask].sum(axis=0) + a) / (n_c + 2.0 * a)
+            theta[c] = (X[mask].sum(axis=0) + ALPHA) / (n_c + 2.0 * ALPHA)
             priors[c] = n_c / n
         self.theta_ = theta
         self.class_prior_ = priors
@@ -58,8 +55,7 @@ class BernoulliNaiveBayes(BaseEstimator):
         scores = X @ log_theta.T + (1.0 - X) @ log_comp.T
         return scores + np.log(self.class_prior_)
 
-    def predict(self, X, schema: tuple[str, ...] | None = None) -> np.ndarray:
-        check_schema(getattr(self, "schema_", None), schema)
+    def predict(self, X) -> np.ndarray:
         scores = self.predict_log_posterior(X)
         # Strict inequality: an exact tie stays benign.
         flags = scores[:, 1] > scores[:, 0]
@@ -67,17 +63,14 @@ class BernoulliNaiveBayes(BaseEstimator):
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "params": self.get_params(),
-            "schema": list(self.schema_) if self.schema_ else None,
-            "n_features": self.n_features_,
+            "params": {"alpha": ALPHA},
             "class_prior": self.class_prior_.tolist(),
             "theta": self.theta_.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "BernoulliNaiveBayes":
-        model = cls(**doc["params"])
-        model.schema_ = tuple(doc["schema"]) if doc["schema"] else None
+        model = cls()
         model.n_features_ = doc["n_features"]
         model.class_prior_ = np.asarray(doc["class_prior"], dtype=float)
         model.theta_ = np.asarray(doc["theta"], dtype=float)

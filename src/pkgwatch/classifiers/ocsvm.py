@@ -27,28 +27,26 @@ import numpy as np
 
 from ..errors import ConvergenceFailure, TooFewSamples
 from ..vectorize import BENIGN, MALICIOUS
-from .base import BaseEstimator, check_matrix, check_schema
+from .base import check_matrix
+
+#: Stopping tolerance on the maximal KKT violation.
+TOL = 1e-8
+#: Coordinate steps before `fit` gives up with ConvergenceFailure: the
+#: bound on its running time.
+MAX_ITER = 1_000_000
 
 
-class LinearOneClassSvm(BaseEstimator):
-    def __init__(
-        self,
-        nu: float = 0.001,
-        tol: float = 1e-8,
-        max_iter: int = 1_000_000,
-    ):
+class LinearOneClassSvm:
+    def __init__(self, nu: float = 0.001):
         self.nu = nu
-        self.tol = tol
-        self.max_iter = max_iter
 
-    def fit(self, X, schema: tuple[str, ...] | None = None) -> "LinearOneClassSvm":
+    def fit(self, X) -> "LinearOneClassSvm":
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must be in (0, 1]")
         X = check_matrix(X)
         n = X.shape[0]
         if n < 2:
             raise TooFewSamples("one-class SVM requires at least 2 rows")
-        self.schema_ = tuple(schema) if schema is not None else None
         self.n_features_ = X.shape[1]
 
         std = X.std(axis=0)
@@ -75,12 +73,10 @@ class LinearOneClassSvm(BaseEstimator):
             i = int(np.flatnonzero(up)[np.argmin(g[up])])
             j = int(np.flatnonzero(low)[np.argmax(g[low])])
             violation = g[j] - g[i]
-            if violation <= self.tol:
+            if violation <= TOL:
                 break
-            if it >= self.max_iter:
-                raise ConvergenceFailure(
-                    f"no convergence after {self.max_iter} coordinate steps"
-                )
+            if it >= MAX_ITER:
+                raise ConvergenceFailure(f"no convergence after {MAX_ITER} coordinate steps")
             diff = Z[i] - Z[j]
             eta = float(diff @ diff)
             step = violation / eta if eta > 1e-12 else np.inf
@@ -102,7 +98,7 @@ class LinearOneClassSvm(BaseEstimator):
         free = (alpha > bound) & (alpha < C - bound)
         if free.any():
             # Free support vectors share one g value in exact arithmetic;
-            # after finite-tolerance convergence they spread by ~tol. Take
+            # after finite-tolerance convergence they spread by ~TOL. Take
             # the low end so margin points are not misread as outliers
             # (nu stays an upper bound on the flagged fraction).
             return float(g[free].min())
@@ -119,17 +115,14 @@ class LinearOneClassSvm(BaseEstimator):
         X = check_matrix(X, n_features=self.n_features_)
         return (X / self.scale_) @ self.coef_ - self.rho_
 
-    def predict(self, X, schema: tuple[str, ...] | None = None) -> np.ndarray:
-        check_schema(getattr(self, "schema_", None), schema)
+    def predict(self, X) -> np.ndarray:
         d = self.decision_function(X)
         # Flag strictly below the boundary; d == 0 stays benign.
         return np.asarray([MALICIOUS if v < 0 else BENIGN for v in d], dtype=object)
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "params": self.get_params(),
-            "schema": list(self.schema_) if self.schema_ else None,
-            "n_features": self.n_features_,
+            "params": {"nu": self.nu, "tol": TOL, "max_iter": MAX_ITER},
             "scale": self.scale_.tolist(),
             "coef": self.coef_.tolist(),
             "rho": self.rho_,
@@ -137,8 +130,7 @@ class LinearOneClassSvm(BaseEstimator):
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "LinearOneClassSvm":
-        model = cls(**doc["params"])
-        model.schema_ = tuple(doc["schema"]) if doc["schema"] else None
+        model = cls(nu=doc["params"]["nu"])
         model.n_features_ = doc["n_features"]
         model.scale_ = np.asarray(doc["scale"], dtype=float)
         model.coef_ = np.asarray(doc["coef"], dtype=float)

@@ -1,4 +1,11 @@
-"""Versioned, self-describing model files (JSON documents)."""
+"""Versioned, self-describing model files (JSON documents).
+
+A file names its model's kind and records the columns the model reads
+(`schema`, and their count `n_features`), both taken from
+`evaluation.MODELS`. `load_model` accepts a file only in its kind's slot
+and only with exactly that kind's columns, so a misplaced or mislabeled
+file fails at load rather than when it scores.
+"""
 
 from __future__ import annotations
 
@@ -7,52 +14,46 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .evaluation import MODEL_NB, MODEL_SVM, MODEL_TREE
-from .naive_bayes import BernoulliNaiveBayes
-from .ocsvm import LinearOneClassSvm
-from .tree import DecisionTreeClassifier
+from ..errors import SchemaMismatch
+from .evaluation import MODELS
 
 MODEL_FORMAT = "pkgwatch-model"
 MODEL_FORMAT_VERSION = 1
 
-_KIND_TO_CLASS = {
-    MODEL_TREE: DecisionTreeClassifier,
-    MODEL_NB: BernoulliNaiveBayes,
-    MODEL_SVM: LinearOneClassSvm,
-}
-_CLASS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLASS.items()}
 
-
-def model_kind(model: Any) -> str:
-    try:
-        return _CLASS_TO_KIND[type(model)]
-    except KeyError:
-        raise TypeError(f"not a serializable model: {type(model).__name__}") from None
-
-
-def model_document(model: Any, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
-    return {
+def save_model(model: Any, path: str | Path, metadata: dict[str, Any] | None = None) -> None:
+    kind = next((k for k, (cls, _) in MODELS.items() if type(model) is cls), None)
+    if kind is None:
+        raise TypeError(f"not a serializable model: {type(model).__name__}")
+    schema = MODELS[kind][1]
+    if model.n_features_ != len(schema):
+        raise SchemaMismatch(f"a {kind} model reads {len(schema)} columns, "
+                             f"this one was fitted on {model.n_features_}")
+    state = model.to_dict()
+    doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": model_kind(model),
-        "model": model.to_dict(),
+        "kind": kind,
+        "model": {"params": state.pop("params"), "schema": list(schema),
+                  "n_features": len(schema), **state},
         "metadata": {
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             **(metadata or {}),
         },
     }
-
-
-def save_model(model: Any, path: str | Path, metadata: dict[str, Any] | None = None) -> None:
-    doc = model_document(model, metadata)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path) -> Any:
+def load_model(path: str | Path, kind: str) -> Any:
+    """The `kind` model stored at `path`; ValueError for a file of another
+    kind, SchemaMismatch for one whose columns are not `kind`'s."""
+    cls, schema = MODELS[kind]
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
-    kind = doc.get("kind")
-    if kind not in _KIND_TO_CLASS:
-        raise ValueError(f"unknown model kind: {kind!r}")
-    return _KIND_TO_CLASS[kind].from_dict(doc["model"])
+    if doc.get("kind") != kind:
+        raise ValueError(f"{path}: holds a {doc.get('kind')!r} model, not a {kind!r} one")
+    body = doc["model"]
+    if body.get("schema") != list(schema) or body.get("n_features") != len(schema):
+        raise SchemaMismatch(f"{path}: columns do not match those a {kind} model reads")
+    return cls.from_dict(body)

@@ -3,9 +3,9 @@
 Splits are ``x[column] <= threshold`` with thresholds at midpoints of
 adjacent observed values. Ties among equal-gain candidates go to the
 lowest column index, then the lowest threshold; leaf ties go to the
-malicious class. By default the tree grows to purity (no depth cap,
-one sample per leaf), matching classifiers trained on small, imbalanced
-security corpora where recall on rare positives matters.
+malicious class. The tree grows to purity (no depth cap, one sample per
+leaf), matching classifiers trained on small, imbalanced security corpora
+where recall on rare positives matters.
 """
 
 from __future__ import annotations
@@ -17,28 +17,7 @@ import numpy as np
 
 from ..errors import EmptyDataset
 from ..vectorize import BENIGN, MALICIOUS
-from .base import BaseEstimator, check_labels, check_matrix, check_schema, labels_to_binary
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) class distribution."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
-
-
-def information_gain(labels, left_indices, right_indices) -> float:
-    """H(parent) - weighted child entropies for a two-way index partition."""
-    y = labels_to_binary(check_labels(labels, len(labels)))
-    left = np.asarray(sorted(left_indices), dtype=int)
-    right = np.asarray(sorted(right_indices), dtype=int)
-    if sorted([*left, *right]) != list(range(len(y))):
-        raise ValueError("left/right must partition the index range")
-    n = len(y)
-    h_parent = binary_entropy(y.mean())
-    h_left = binary_entropy(y[left].mean()) if len(left) else 0.0
-    h_right = binary_entropy(y[right].mean()) if len(right) else 0.0
-    return h_parent - (len(left) / n) * h_left - (len(right) / n) * h_right
+from .base import check_labels, check_matrix, labels_to_binary
 
 
 @dataclass
@@ -87,21 +66,16 @@ def _entropy_from_counts(n_mal: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n > 0, h, 0.0)
 
 
-class DecisionTreeClassifier(BaseEstimator):
+class DecisionTreeClassifier:
     """Greedy information-gain tree over {malicious, benign} labels."""
 
-    def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-
-    def fit(self, X, y, schema: tuple[str, ...] | None = None) -> "DecisionTreeClassifier":
+    def fit(self, X, y) -> "DecisionTreeClassifier":
         X = check_matrix(X)
         if X.shape[0] == 0:
             raise EmptyDataset("decision tree requires at least one row")
         y01 = labels_to_binary(check_labels(y, X.shape[0]))
-        self.schema_ = tuple(schema) if schema is not None else None
         self.n_features_ = X.shape[1]
-        self.root_ = self._build(X, y01, np.arange(X.shape[0]), depth=0)
+        self.root_ = self._build(X, y01, np.arange(X.shape[0]))
         self.node_count_ = self._count_nodes(self.root_)
         return self
 
@@ -123,7 +97,6 @@ class DecisionTreeClassifier(BaseEstimator):
         n = len(idx)
         y_node = y01[idx]
         total_mal = int(y_node.sum())
-        msl = self.min_samples_leaf
         h_parent = _entropy_from_counts(np.array([total_mal]), np.array([n]))[0]
         best: tuple[float, int, float, int, np.ndarray] | None = None
 
@@ -132,10 +105,8 @@ class DecisionTreeClassifier(BaseEstimator):
             order = np.argsort(values, kind="stable")
             sv = values[order]
             cum_mal = np.cumsum(y_node[order])
-            # Candidate boundaries sit between distinct adjacent values,
-            # leaving at least min_samples_leaf rows on each side.
+            # Candidate boundaries sit between distinct adjacent values.
             boundary = np.nonzero(sv[:-1] < sv[1:])[0]
-            boundary = boundary[(boundary >= msl - 1) & (boundary <= n - msl - 1)]
             if len(boundary) == 0:
                 continue
             n_left = boundary + 1
@@ -162,12 +133,9 @@ class DecisionTreeClassifier(BaseEstimator):
         _, col, threshold, b, order = best
         return col, threshold, b, order
 
-    def _build(
-        self, X: np.ndarray, y01: np.ndarray, idx: np.ndarray, depth: int
-    ) -> TreeNode:
+    def _build(self, X: np.ndarray, y01: np.ndarray, idx: np.ndarray) -> TreeNode:
         n_mal = int(y01[idx].sum())
-        pure = n_mal == 0 or n_mal == len(idx)
-        if pure or (self.max_depth is not None and depth >= self.max_depth):
+        if n_mal == 0 or n_mal == len(idx):  # pure
             return self._leaf(y01, idx)
 
         found = self._best_split(X, y01, idx)
@@ -178,17 +146,15 @@ class DecisionTreeClassifier(BaseEstimator):
         # consistent data still reaches pure leaves (e.g. XOR-shaped data).
         left_idx = idx[order[: boundary + 1]]
         right_idx = idx[order[boundary + 1 :]]
-        node = TreeNode(
+        return TreeNode(
             column=col,
             threshold=threshold,
             counts=(len(idx) - n_mal, n_mal),
-            left=self._build(X, y01, left_idx, depth + 1),
-            right=self._build(X, y01, right_idx, depth + 1),
+            left=self._build(X, y01, left_idx),
+            right=self._build(X, y01, right_idx),
         )
-        return node
 
-    def predict(self, X, schema: tuple[str, ...] | None = None) -> np.ndarray:
-        check_schema(getattr(self, "schema_", None), schema)
+    def predict(self, X) -> np.ndarray:
         X = check_matrix(X, n_features=self.n_features_)
         out = []
         for row in X:
@@ -204,17 +170,16 @@ class DecisionTreeClassifier(BaseEstimator):
         return 1 + self._count_nodes(node.left) + self._count_nodes(node.right)
 
     def to_dict(self) -> dict[str, Any]:
+        # The file format keeps the parameters of earlier versions, which
+        # always grew the tree to purity.
         return {
-            "params": self.get_params(),
-            "schema": list(self.schema_) if self.schema_ else None,
-            "n_features": self.n_features_,
+            "params": {"max_depth": None, "min_samples_leaf": 1},
             "root": self.root_.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "DecisionTreeClassifier":
-        model = cls(**doc["params"])
-        model.schema_ = tuple(doc["schema"]) if doc["schema"] else None
+        model = cls()
         model.n_features_ = doc["n_features"]
         model.root_ = TreeNode.from_dict(doc["root"])
         model.node_count_ = model._count_nodes(model.root_)

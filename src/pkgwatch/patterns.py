@@ -209,11 +209,3 @@ def load_pattern_table(path: str | Path) -> PatternTable:
             PatternRule(kind=e["kind"], value=e["value"]) for e in entries
         )
     return PatternTable(rules=rules)
-
-
-def save_pattern_table(table: PatternTable, path: str | Path) -> None:
-    doc = {
-        feature: [{"kind": r.kind, "value": r.value} for r in rules]
-        for feature, rules in table.rules.items()
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -278,6 +278,11 @@ class CorpusStore:
         index = self._index.get((package, version))
         return None if index is None else self._stored(index)
 
+    def digest(self, package: str, version: str) -> str | None:
+        """The stored content digest of a key; None for an unknown key too."""
+        index = self._index.get((package, version))
+        return None if index is None else self._digests[index]
+
     def add_vector(self, vector: ChangeVector, digest: str | None = None) -> bool:
         """Record a vector; existing (package, version) entries are kept."""
         with self._lock:
@@ -390,7 +395,7 @@ class ModelStore:
         for model_id in MODEL_IDS:
             path = self.directory / f"{model_id}.json"
             if path.exists():
-                models[model_id] = load_model(path)
+                models[model_id] = load_model(path, model_id)
         if not models:
             raise FileNotFoundError(f"no models under {self.directory}")
         return models
@@ -558,15 +563,17 @@ def label(
     if triage not in (TRUE_POSITIVE, FALSE_POSITIVE):
         raise ValueError(f"triage must be true-positive/false-positive: {triage!r}")
     as_label = MALICIOUS if triage == TRUE_POSITIVE else BENIGN
+    # Parsed before the label is appended, so that a stored digest the hash
+    # set cannot take leaves the corpus unchanged.
+    stored = corpus.digest(package, version) if triage == TRUE_POSITIVE else None
+    digest = ContentDigest.parse(stored) if stored else None
     entry = corpus.set_label(package, version, as_label)
-    if triage == TRUE_POSITIVE:
-        if entry.digest:
-            hash_set.register(ContentDigest.parse(entry.digest), package, version)
-        else:
-            logger.warning(
-                "no stored digest for %s@%s; clone hash not registered",
-                package, version,
-            )
+    if digest is not None:
+        hash_set.register(digest, package, version)
+    elif triage == TRUE_POSITIVE:
+        logger.warning(
+            "no stored digest for %s@%s; clone hash not registered", package, version,
+        )
     return entry
 
 

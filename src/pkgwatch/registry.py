@@ -37,7 +37,6 @@ class PackageDocument:
     versions: tuple[str, ...]
     time: dict[str, float]  # version -> UTC seconds
     dist: dict[str, dict]
-    manifests: dict[str, dict]
     warnings: tuple[str, ...] = field(default=())
 
     def timeline(self) -> VersionTimeline:
@@ -65,13 +64,11 @@ def _parse_document(name: str, doc: dict) -> PackageDocument:
         if version not in time_map:
             warnings.append(f"version {version} missing from time map")
 
-    dist = {}
-    manifests = {}
-    for version, excerpt in doc["versions"].items():
-        if isinstance(excerpt, dict):
-            manifests[version] = excerpt
-            if isinstance(excerpt.get("dist"), dict):
-                dist[version] = excerpt["dist"]
+    dist = {
+        version: excerpt["dist"]
+        for version, excerpt in doc["versions"].items()
+        if isinstance(excerpt, dict) and isinstance(excerpt.get("dist"), dict)
+    }
     for message in warnings:
         logger.warning("%s: %s", name, message)
     return PackageDocument(
@@ -79,7 +76,6 @@ def _parse_document(name: str, doc: dict) -> PackageDocument:
         versions=versions,
         time=time_map,
         dist=dist,
-        manifests=manifests,
         warnings=tuple(warnings),
     )
 

@@ -71,10 +71,6 @@ class ReproduceResult:
     diff: list[tuple[str, str]] = field(default_factory=list)
     logs: list[str] = field(default_factory=list)
 
-    @property
-    def reproduced(self) -> bool:
-        return self.status == REPRODUCED
-
 
 def normalize_repo_url(url: str) -> str | None:
     """Strip the git+ prefix; None for schemes we cannot fetch."""

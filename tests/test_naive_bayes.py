@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import nb_log_posterior
-from pkgwatch.classifiers import BernoulliNaiveBayes
+from pkgwatch.classifiers import MODEL_NB, BernoulliNaiveBayes, load_model, save_model
 from pkgwatch.errors import SchemaMismatch, SingleClassError
 
 M, B = "malicious", "benign"
@@ -14,7 +14,7 @@ def test_theta_smoothing_two_positive_rows():
     # Two malicious rows with the column always 1: theta = (2+1)/(2+2) = 3/4.
     X = np.array([[1.0], [1.0], [0.0], [0.0]])
     y = np.array([M, M, B, B], dtype=object)
-    model = BernoulliNaiveBayes(alpha=1.0).fit(X, y)
+    model = BernoulliNaiveBayes().fit(X, y)
     assert model.theta_[1, 0] == pytest.approx(3 / 4)
     assert model.theta_[0, 0] == pytest.approx(1 / 4)
 
@@ -93,21 +93,27 @@ def test_non_boolean_input_rejected():
         BernoulliNaiveBayes().fit(X, y)
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    X = rng.integers(0, 2, size=(30, 5)).astype(float)
+    X = rng.integers(0, 2, size=(30, 14)).astype(float)
     y = np.array([M if b else B for b in rng.integers(0, 2, size=30)], dtype=object)
     if len(set(y.tolist())) < 2:
         y[0], y[1] = M, B
-    model = BernoulliNaiveBayes().fit(X, y, schema=tuple("abcde"))
-    clone = BernoulliNaiveBayes.from_dict(model.to_dict())
-    probe = rng.integers(0, 2, size=(50, 5)).astype(float)
+    model = BernoulliNaiveBayes().fit(X, y)
+    save_model(model, tmp_path / "nb.json")
+    clone = load_model(tmp_path / "nb.json", MODEL_NB)
+    probe = rng.integers(0, 2, size=(50, 14)).astype(float)
     assert list(model.predict(probe)) == list(clone.predict(probe))
+    assert np.array_equal(model.predict_log_posterior(probe), clone.predict_log_posterior(probe))
 
 
-def test_schema_mismatch():
+def test_schema_mismatch(tmp_path):
     X = np.array([[1.0], [0.0]])
     y = np.array([M, B], dtype=object)
-    model = BernoulliNaiveBayes().fit(X, y, schema=("f",))
+    model = BernoulliNaiveBayes().fit(X, y)
     with pytest.raises(SchemaMismatch):
-        model.predict(np.array([1.0]), schema=("g",))
+        model.predict(np.array([1.0, 0.0]))
+    # Naive Bayes reads the 14 Boolean columns; one fitted on other
+    # columns cannot be stored as one.
+    with pytest.raises(SchemaMismatch):
+        save_model(model, tmp_path / "nb.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import qp_one_class_svm
-from pkgwatch.classifiers import LinearOneClassSvm
+from pkgwatch.classifiers import MODEL_SVM, LinearOneClassSvm, load_model, save_model
 from pkgwatch.errors import TooFewSamples
 
 M, B = "malicious", "benign"
@@ -115,11 +115,13 @@ def test_determinism():
     assert a.rho_ == b.rho_
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    X = _cluster(rng, n=200, d=4)
-    model = LinearOneClassSvm(nu=0.05).fit(X, schema=tuple("abcd"))
-    clone = LinearOneClassSvm.from_dict(model.to_dict())
-    probe = _cluster(rng, n=50, d=4)
+    X = _cluster(rng, n=200)
+    model = LinearOneClassSvm(nu=0.05).fit(X)
+    save_model(model, tmp_path / "svm.json")
+    clone = load_model(tmp_path / "svm.json", MODEL_SVM)
+    assert clone.nu == 0.05
+    probe = _cluster(rng, n=50)
     assert np.array_equal(model.predict(probe), clone.predict(probe))
     assert np.allclose(model.decision_function(probe), clone.decision_function(probe))

@@ -607,6 +607,22 @@ def test_label_true_positive_registers_digest(tmp_path):
     assert hash_set.lookup(digest) is not None
 
 
+def test_label_true_positive_with_unusable_digest_records_nothing(tmp_path):
+    corpus = CorpusStore(tmp_path / "c.jsonl")
+    hash_set = MalwareHashSet(tmp_path / "h.txt")
+    corpus.add_vector(first_vector(package="odd"), digest="sha256:00ff")
+    before = (tmp_path / "c.jsonl").read_text()
+    with pytest.raises(ValueError):
+        label(corpus, hash_set, "odd", "1.0.0", "true-positive")
+    assert (tmp_path / "c.jsonl").read_text() == before
+    assert corpus.get("odd", "1.0.0").vector.label is None
+    assert CorpusStore(tmp_path / "c.jsonl").get("odd", "1.0.0").vector.label is None
+    assert len(hash_set) == 0
+    # A false-positive label needs no digest.
+    label(corpus, hash_set, "odd", "1.0.0", "false-positive")
+    assert corpus.get("odd", "1.0.0").vector.label == BENIGN
+
+
 def test_label_false_positive_adds_benign(tmp_path):
     corpus = CorpusStore(tmp_path / "c.jsonl")
     hash_set = MalwareHashSet(tmp_path / "h.txt")

@@ -2,29 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import ReferenceTree, exhaustive_best_split
-from pkgwatch.classifiers import DecisionTreeClassifier, information_gain
+from pkgwatch.classifiers import MODEL_TREE, DecisionTreeClassifier, load_model, save_model
 from pkgwatch.errors import EmptyDataset, SchemaMismatch
 
 M, B = "malicious", "benign"
-
-
-def test_information_gain_perfect_split():
-    assert information_gain([M, M, B, B], [0, 1], [2, 3]) == pytest.approx(1.0)
-
-
-def test_information_gain_useless_split():
-    assert information_gain([M, B, M, B], [0, 1], [2, 3]) == pytest.approx(0.0)
-
-
-def test_information_gain_hand_computed():
-    # H(1/4) - 0.5 * H(1/2) = 0.8112781244591328 - 0.5
-    gain = information_gain([M, B, B, B], [0, 1], [2, 3])
-    assert gain == pytest.approx(0.31127812445913283, abs=1e-12)
-
-
-def test_information_gain_rejects_non_partition():
-    with pytest.raises(ValueError):
-        information_gain([M, B], [0], [0, 1])
 
 
 def test_separable_1d_gives_depth_one_tree():
@@ -62,13 +43,6 @@ def test_xor_data_reaches_purity():
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
         DecisionTreeClassifier().fit(np.zeros((0, 3)), np.array([], dtype=object))
-
-
-def test_max_depth_stops_growth():
-    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    y = np.array([B, M, M, B], dtype=object)
-    tree = DecisionTreeClassifier(max_depth=0).fit(X, y)
-    assert tree.node_count_ == 1
 
 
 def _random_dataset(rng, n_rows, n_cols):
@@ -120,38 +94,25 @@ def test_monotone_transform_leaves_predictions_unchanged():
     assert list(tree.predict(X)) == list(tree2.predict(X2))
 
 
-def test_min_samples_leaf():
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([B, B, B, M], dtype=object)
-    tree = DecisionTreeClassifier(min_samples_leaf=2).fit(X, y)
-    # The only admissible boundary keeps two rows per side.
-    assert tree.root_.threshold == pytest.approx(2.5)
-
-
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    X, y, _ = _random_dataset(rng, 25, 4)
-    tree = DecisionTreeClassifier().fit(X, y, schema=("a", "b", "c", "d"))
-    clone = DecisionTreeClassifier.from_dict(tree.to_dict())
-    probe = rng.uniform(-12, 12, size=(40, 4))
+    X, y, _ = _random_dataset(rng, 25, 17)
+    tree = DecisionTreeClassifier().fit(X, y)
+    save_model(tree, tmp_path / "tree.json")
+    clone = load_model(tmp_path / "tree.json", MODEL_TREE)
+    probe = rng.uniform(-12, 12, size=(40, 17))
     assert list(tree.predict(probe)) == list(clone.predict(probe))
-    assert clone.schema_ == ("a", "b", "c", "d")
+    assert clone.node_count_ == tree.node_count_
 
 
-def test_schema_mismatch_on_predict():
+def test_schema_mismatch_on_predict(tmp_path):
     X = np.array([[0.0], [1.0]])
     y = np.array([B, M], dtype=object)
-    tree = DecisionTreeClassifier().fit(X, y, schema=("f",))
-    with pytest.raises(SchemaMismatch):
-        tree.predict([[1.0]], schema=("other",))
+    tree = DecisionTreeClassifier().fit(X, y)
     with pytest.raises(SchemaMismatch):
         tree.predict([[1.0, 2.0]])
-
-
-def test_get_set_params():
-    tree = DecisionTreeClassifier(max_depth=3)
-    assert tree.get_params() == {"max_depth": 3, "min_samples_leaf": 1}
-    tree.set_params(min_samples_leaf=2)
-    assert tree.min_samples_leaf == 2
-    with pytest.raises(ValueError):
-        tree.set_params(bogus=1)
+    # A tree reads the 17 numeric columns; one fitted on other columns
+    # cannot be stored as one.
+    with pytest.raises(SchemaMismatch):
+        save_model(tree, tmp_path / "tree.json")
+    assert not (tmp_path / "tree.json").exists()
