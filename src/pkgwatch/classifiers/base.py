@@ -4,6 +4,8 @@ Each estimator's ``fit`` returns ``self`` and stores what it learned in
 attributes with a trailing underscore. The estimators know nothing of
 column names: `evaluation.MODELS` says which columns each model reads,
 and `serialize` checks a model file against them when it is loaded.
+Each estimator's ``from_dict`` checks the arrays it reads from a file
+against the file's column count, so a file that loads also scores.
 """
 
 from __future__ import annotations
@@ -46,3 +48,16 @@ def check_labels(y, n_rows: int) -> np.ndarray:
 def labels_to_binary(y: np.ndarray) -> np.ndarray:
     """malicious -> 1, benign -> 0."""
     return np.fromiter((1 if v == MALICIOUS else 0 for v in y), dtype=int, count=len(y))
+
+
+def stored_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A model file's `name` entry as a finite float array of `shape`."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not an array of numbers") from exc
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, not {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds NaN or infinite values")
+    return array

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import EmptyDataset, SingleClassError
 from ..vectorize import BENIGN, MALICIOUS
-from .base import check_labels, check_matrix, labels_to_binary
+from .base import check_labels, check_matrix, labels_to_binary, stored_array
 
 CLASSES = (BENIGN, MALICIOUS)
 #: Laplace smoothing: ALPHA pseudo-rows with each column 0 and ALPHA with it 1, per class.
@@ -72,6 +72,9 @@ class BernoulliNaiveBayes:
     def from_dict(cls, doc: dict[str, Any]) -> "BernoulliNaiveBayes":
         model = cls()
         model.n_features_ = doc["n_features"]
-        model.class_prior_ = np.asarray(doc["class_prior"], dtype=float)
-        model.theta_ = np.asarray(doc["theta"], dtype=float)
+        model.class_prior_ = stored_array(doc["class_prior"], (2,), "class_prior")
+        model.theta_ = stored_array(doc["theta"], (2, model.n_features_), "theta")
+        for name, values in (("class_prior", model.class_prior_), ("theta", model.theta_)):
+            if not ((values > 0) & (values < 1)).all():
+                raise ValueError(f"{name} holds a value outside (0, 1)")
         return model

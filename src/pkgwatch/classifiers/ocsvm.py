@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ConvergenceFailure, TooFewSamples
 from ..vectorize import BENIGN, MALICIOUS
-from .base import check_matrix
+from .base import check_matrix, stored_array
 
 #: Stopping tolerance on the maximal KKT violation.
 TOL = 1e-8
@@ -131,8 +131,10 @@ class LinearOneClassSvm:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "LinearOneClassSvm":
         model = cls(nu=doc["params"]["nu"])
-        model.n_features_ = doc["n_features"]
-        model.scale_ = np.asarray(doc["scale"], dtype=float)
-        model.coef_ = np.asarray(doc["coef"], dtype=float)
-        model.rho_ = float(doc["rho"])
+        model.n_features_ = n = doc["n_features"]
+        model.scale_ = stored_array(doc["scale"], (n,), "scale")
+        if not (model.scale_ > 0).all():
+            raise ValueError("scale holds a value that is not positive")
+        model.coef_ = stored_array(doc["coef"], (n,), "coef")
+        model.rho_ = float(stored_array(doc["rho"], (), "rho"))
         return model

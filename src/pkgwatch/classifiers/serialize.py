@@ -2,9 +2,10 @@
 
 A file names its model's kind and records the columns the model reads
 (`schema`, and their count `n_features`), both taken from
-`evaluation.MODELS`. `load_model` accepts a file only in its kind's slot
-and only with exactly that kind's columns, so a misplaced or mislabeled
-file fails at load rather than when it scores.
+`evaluation.MODELS`. `load_model` accepts a file only in its kind's slot,
+only with exactly that kind's columns, and only with arrays that fit them
+(each class's `from_dict` checks its own), so a misplaced, mislabeled or
+damaged file fails at load rather than when it scores.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def save_model(model: Any, path: str | Path, metadata: dict[str, Any] | None = N
 
 def load_model(path: str | Path, kind: str) -> Any:
     """The `kind` model stored at `path`; ValueError for a file of another
-    kind, SchemaMismatch for one whose columns are not `kind`'s."""
+    kind or with arrays that do not fit its columns, SchemaMismatch for one
+    whose columns are not `kind`'s."""
     cls, schema = MODELS[kind]
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -56,4 +58,7 @@ def load_model(path: str | Path, kind: str) -> Any:
     body = doc["model"]
     if body.get("schema") != list(schema) or body.get("n_features") != len(schema):
         raise SchemaMismatch(f"{path}: columns do not match those a {kind} model reads")
-    return cls.from_dict(body)
+    try:
+        return cls.from_dict(body)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import EmptyDataset
 from ..vectorize import BENIGN, MALICIOUS
-from .base import check_labels, check_matrix, labels_to_binary
+from .base import check_labels, check_matrix, labels_to_binary, stored_array
 
 
 @dataclass
@@ -45,15 +45,21 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TreeNode":
+    def from_dict(cls, doc: dict[str, Any], n_features: int) -> "TreeNode":
+        """The subtree stored in `doc`, checked to score rows of `n_features` columns."""
         if "leaf" in doc:
+            if doc["leaf"] not in (MALICIOUS, BENIGN):
+                raise ValueError(f"leaf label {doc['leaf']!r} is not malicious or benign")
             return cls(prediction=doc["leaf"], counts=tuple(doc["counts"]))
+        column = doc["column"]
+        if type(column) is not int or not 0 <= column < n_features:
+            raise ValueError(f"split column {column!r} is not in [0, {n_features})")
         return cls(
-            column=doc["column"],
-            threshold=doc["threshold"],
+            column=column,
+            threshold=float(stored_array(doc["threshold"], (), "threshold")),
             counts=tuple(doc["counts"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
+            left=cls.from_dict(doc["left"], n_features),
+            right=cls.from_dict(doc["right"], n_features),
         )
 
 
@@ -181,6 +187,6 @@ class DecisionTreeClassifier:
     def from_dict(cls, doc: dict[str, Any]) -> "DecisionTreeClassifier":
         model = cls()
         model.n_features_ = doc["n_features"]
-        model.root_ = TreeNode.from_dict(doc["root"])
+        model.root_ = TreeNode.from_dict(doc["root"], model.n_features_)
         model.node_count_ = model._count_nodes(model.root_)
         return model

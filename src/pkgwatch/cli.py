@@ -95,7 +95,9 @@ def _reproducer_config(build_config: str | None, no_reproduce: bool) -> Reproduc
 @click.option("--pattern-table", "pattern_table_path", default=None,
               help="JSON pattern-table overriding the built-in rules.")
 @click.option("--seed", default=0, show_default=True, help="RNG seed.")
-@click.option("--jobs", default=1, show_default=True, help="Parallel scan workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Scan worker processes, forked and capped at the usable cores "
+                   "(POSIX); 1 scans in this process.")
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 @click.pass_context
 def cli(ctx, registry_spec, models_dir, corpus_path, hashes_path,

@@ -5,7 +5,13 @@ clone matches are never cleared.
 
 A scan gives each package to one worker, which reads its document once and
 scans its items in publish order; each version's features, extracted once,
-feed its successor's change vector from that worker's locals.
+feed its successor's change vector from that worker's locals. With `jobs`
+> 1 the workers are processes forked from the caller (POSIX only), each
+with a copy-on-write view of the registry, models, hash set, pattern table
+and reproducer config; their tasks carry only (name, versions) pairs. A
+worker that dies costs error verdicts for the packages whose results had
+not come back, never lost items, and no worker outlives `scan`. With `jobs`
+== 1, or a single package, the scan runs in the calling process.
 
 Between the change vector and the models there is one encoded form, the
 numeric row in NUMERIC_SCHEMA order: `predict_all` scores the row `encode`
@@ -21,8 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -500,6 +509,67 @@ def _scan_package(
     return [results[version] for version in versions]
 
 
+def _scan_guarded(context: tuple, name: str, versions: list[str]):
+    """`_scan_package` of one package under `context` (registry, models,
+    hash set, pattern table, reproducer config); an unexpected failure
+    costs only this package."""
+    registry, models, hash_set, table, reproducer_config = context
+    try:
+        return _scan_package(registry, name, versions, models, hash_set,
+                             table, reproducer_config)
+    except Exception as exc:
+        logger.exception("scan of package %s failed", name)
+        return [_failed(Verdict(package=name, version=v), exc) for v in versions]
+
+
+#: Pool tasks per worker process: more even out the workers' loads, fewer
+#: send fewer messages.
+TASKS_PER_WORKER = 4
+
+# The scan context of a forked worker, stored once by `_init_worker`.
+_worker_context: tuple = ()
+
+
+def _init_worker(context: tuple) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _scan_chunk(chunk: list[tuple[str, list[str]]]) -> list:
+    return [_scan_guarded(_worker_context, name, versions) for name, versions in chunk]
+
+
+def _scan_forked(context: tuple, packages: list[tuple[str, list[str]]],
+                 jobs: int) -> list:
+    """`_scan_guarded` of each package, in order, on a pool of forked
+    worker processes that is shut down before this returns.
+
+    Fork hands `context` to the workers without pickling it; a task
+    carries (name, versions) pairs. The packages of a task whose result
+    does not come back become error verdicts.
+    """
+    workers = min(jobs, len(os.sched_getaffinity(0)), len(packages))
+    count = min(len(packages), workers * TASKS_PER_WORKER)
+    # Every count-th package to one task, so that packages slow to scan and
+    # close in name order (the rebuilds of one project, say) share no task.
+    chunks = [packages[k::count] for k in range(count)]
+    by_name = {}
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(context,)) as pool:
+        futures = [pool.submit(_scan_chunk, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                groups = future.result()
+            except Exception as exc:  # the task's result did not come back
+                if isinstance(exc, BrokenProcessPool):
+                    exc = BrokenProcessPool(
+                        "scan worker process died before returning this package's result")
+                groups = [[_failed(Verdict(package=name, version=v), exc) for v in versions]
+                          for name, versions in chunk]
+            by_name.update(zip((name for name, _ in chunk), groups))
+    return [by_name[name] for name, _ in packages]
+
+
 def scan(
     registry,
     batch: list[tuple[str, str]],
@@ -511,28 +581,24 @@ def scan(
 ) -> ScanOutcome:
     """Scan a batch of (name, version) items, one package per worker.
 
-    Per-item failures become error verdicts without aborting the batch;
-    the report order is deterministic (name, then version) regardless of
-    worker scheduling.
+    With `jobs` > 1 and more than one package, the workers are up to
+    `jobs` forked processes, no more than the usable cores (fork copies
+    only the calling thread, so call it while no other thread holds a
+    lock the scan takes); otherwise the scan runs in this process.
+    Per-item failures, and a worker process that dies, become error
+    verdicts without aborting the batch; the report order is
+    deterministic (name, then version) regardless of worker scheduling.
     """
     packages: dict[str, list[str]] = {}
     for name, version in sorted(set(batch)):
         packages.setdefault(name, []).append(version)
 
-    def work(package: tuple[str, list[str]]):
-        name, versions = package
-        try:
-            return _scan_package(registry, name, versions, models, hash_set,
-                                 pattern_table, reproducer_config)
-        except Exception as exc:  # an unexpected failure costs only this package
-            logger.exception("scan of package %s failed", name)
-            return [_failed(Verdict(package=name, version=v), exc) for v in versions]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(work, packages.items()))
+    context = (registry, models, hash_set, pattern_table, reproducer_config)
+    if jobs > 1 and len(packages) > 1:
+        groups = _scan_forked(context, list(packages.items()), jobs)
     else:
-        groups = [work(package) for package in packages.items()]
+        groups = [_scan_guarded(context, name, versions)
+                  for name, versions in packages.items()]
 
     results = [pair for group in groups for pair in group]
     verdicts = [v for v, _ in results]

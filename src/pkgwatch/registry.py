@@ -165,7 +165,13 @@ class FixtureRegistry:
 
 
 class HttpRegistry:
-    """npm-compatible registry over HTTP with retries and a tarball cache."""
+    """npm-compatible registry over HTTP with retries and a tarball cache.
+
+    Without a `session`, the registry opens one `requests.Session` per
+    process on first use, so a worker forked from a process that has
+    already made requests never shares its keep-alive connections. A
+    caller-supplied `session` is used as given, in every process.
+    """
 
     def __init__(
         self,
@@ -183,11 +189,19 @@ class HttpRegistry:
         self.backoff = backoff
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.changes_url = changes_url
-        if session is None:
+        self._session = session
+        # The process that opened self._session; None for a caller's session.
+        self._session_pid: int | None = None
+
+    @property
+    def session(self):
+        """The session requests go through in the calling process."""
+        if self._session is None or self._session_pid not in (None, os.getpid()):
             import requests
 
-            session = requests.Session()
-        self._session = session
+            self._session = requests.Session()
+            self._session_pid = os.getpid()
+        return self._session
 
     def _get(self, url: str):
         import requests
@@ -196,7 +210,7 @@ class HttpRegistry:
         last_error: Exception | None = None
         for attempt in range(self.retries):
             try:
-                response = self._session.get(url, timeout=self.timeout)
+                response = self.session.get(url, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
             else:

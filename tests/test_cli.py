@@ -227,6 +227,15 @@ def test_reproduce_command_no_repo(runner, workspace):
     assert "nothing to rebuild" in result.output
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(runner, workspace, jobs):
+    result = runner.invoke(cli, ["--jobs", jobs] + base_args(workspace) + [
+        "scan", "plain@1.0.1", "--no-reproduce",
+    ])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+
+
 def test_missing_registry_is_usage_error(runner):
     result = runner.invoke(cli, ["scan", "a@1.0.0"])
     assert result.exit_code != 0

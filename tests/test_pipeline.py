@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import sys
 import threading
@@ -221,6 +223,33 @@ def test_scan_parallel_matches_serial(registry_builder, trained_models, tmp_path
            [v.to_record() for v in parallel.verdicts]
     assert serial.vectors == parallel.vectors
     assert len(serial.vectors) == len(batch)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_dead_worker_costs_only_verdicts(registry_builder, trained_models, tmp_path,
+                                              monkeypatch):
+    seeded_registry(registry_builder)
+    registry = FixtureRegistry(registry_builder.root)
+    hash_set = MalwareHashSet(tmp_path / "hashes.txt")
+    batch = [(f"benign-{i:02d}", "1.0.0") for i in range(10)]
+    extract = pipeline.extract_features
+
+    def dying_extract(artifact, table):
+        if artifact.name == "benign-04":
+            os._exit(1)  # as an OOM kill or a segfault would end the worker
+        return extract(artifact, table)
+
+    monkeypatch.setattr(pipeline, "extract_features", dying_extract)
+    outcome = scan(registry, batch, trained_models, hash_set, jobs=2)
+
+    assert [(v.package, v.version) for v in outcome.verdicts] == batch
+    lost = {v.package: v.error for v in outcome.verdicts if v.final == ERROR}
+    assert "benign-04" in lost
+    for error in lost.values():
+        assert error == "scan worker process died before returning this package's result"
+    assert all(v.final == CLEAN for v in outcome.verdicts if v.package not in lost)
+    assert len(outcome.vectors) == len(batch) - len(lost)
+    assert multiprocessing.active_children() == []
 
 
 class CountingRegistry:

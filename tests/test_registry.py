@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -311,3 +312,26 @@ def test_http_cache_rejects_unsafe_versions(tmp_path):
     assert registry.fetch_tarball("web-pkg", "1.0.0", dist) == tarball
     assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*.tgz")] == \
         [Path("a/b/cache/web-pkg-1.0.0.tgz")]
+
+
+def test_http_session_is_per_process_unless_supplied():
+    own = HttpRegistry("https://registry.invalid")
+    supplied = object()
+    given = HttpRegistry("https://registry.invalid", session=supplied)
+    parent = own.session
+    assert own.session is parent and given.session is supplied
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports through the pipe and never returns to pytest
+        try:
+            child = own.session
+            ok = child is not parent and own.session is child and given.session is supplied
+            os.write(write, b"1" if ok else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(read, "rb") as fh:
+        assert fh.read() == b"1"
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert own.session is parent

@@ -55,9 +55,61 @@ def _wrong_n_features(doc):
     return doc
 
 
+def _model(doc):
+    return doc["model"]
+
+
+def _first_split(doc):
+    return doc["model"]["root"]
+
+
+def _first_leaf(doc):
+    node = doc["model"]["root"]
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
+def _edit(find, key, value):
+    """A change that sets `key` of the node `find` picks to `value`, or to
+    what `value` makes of the current entry when it is callable."""
+    def change(doc):
+        node = find(doc)
+        node[key] = value(node[key]) if callable(value) else value
+        return doc
+    return change
+
+
+NAN, INF = float("nan"), float("inf")
+
 # case -> (file in the store, how it changes, what loading the store raises);
 # a file name as the change copies that file over the target.
 TAMPERED = {
+    "svm-coef-cut": ("one-class-svm.json", _edit(_model, "coef", lambda v: v[:5]), ValueError),
+    "svm-scale-long": ("one-class-svm.json", _edit(_model, "scale", lambda v: v + [1.0]),
+                       ValueError),
+    "svm-coef-nan": ("one-class-svm.json", _edit(_model, "coef", lambda v: [NAN] + v[1:]),
+                     ValueError),
+    "svm-scale-inf": ("one-class-svm.json", _edit(_model, "scale", lambda v: v[:-1] + [INF]),
+                      ValueError),
+    "svm-rho-nan": ("one-class-svm.json", _edit(_model, "rho", NAN), ValueError),
+    "nb-theta-one-row": ("naive-bayes.json", _edit(_model, "theta", lambda v: v[:1]), ValueError),
+    "nb-theta-short-rows": ("naive-bayes.json",
+                            _edit(_model, "theta", lambda v: [row[:-1] for row in v]), ValueError),
+    "nb-theta-zero": ("naive-bayes.json",
+                      _edit(_model, "theta", lambda v: [[0.0] + v[0][1:], v[1]]), ValueError),
+    "nb-theta-one": ("naive-bayes.json",
+                     _edit(_model, "theta", lambda v: [v[0], v[1][:-1] + [1.0]]), ValueError),
+    "nb-prior-three": ("naive-bayes.json", _edit(_model, "class_prior", lambda v: v + [0.5]),
+                       ValueError),
+    "tree-column-past-end": ("decision-tree.json", _edit(_first_split, "column", 17),
+                             ValueError),
+    "tree-column-negative": ("decision-tree.json", _edit(_first_split, "column", -1),
+                             ValueError),
+    "tree-threshold-nan": ("decision-tree.json", _edit(_first_split, "threshold", NAN),
+                           ValueError),
+    "tree-leaf-label": ("decision-tree.json", _edit(_first_leaf, "leaf", "suspicious"),
+                        ValueError),
     "reversed-schema": ("decision-tree.json", _reverse_schema, SchemaMismatch),
     "null-schema": ("decision-tree.json", _null_schema, SchemaMismatch),
     "n-features-disagrees": ("one-class-svm.json", _wrong_n_features, SchemaMismatch),
