@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
@@ -29,7 +30,7 @@ from .pipeline import (
     retrain as retrain_models,
     scan as run_scan,
 )
-from .registry import open_registry
+from .registry import FixtureRegistry, open_registry
 from .reproduce import ReproducerConfig, make_plan, reproduce as run_reproduce
 from .versioning import parse_iso8601
 
@@ -74,13 +75,35 @@ def parse_spec(spec: str) -> tuple[str, str]:
     return name, version
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(ReproducerConfig))
+
+
 def _reproducer_config(build_config: str | None, no_reproduce: bool) -> ReproducerConfig | None:
     if no_reproduce:
         return None
     if build_config is None:
         return ReproducerConfig()
-    doc = json.loads(Path(build_config).read_text(encoding="utf-8"))
-    return ReproducerConfig(**doc)
+    try:
+        doc = json.loads(Path(build_config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("build config must be a JSON object")
+        for key, value in doc.items():
+            if key == "build_scripts":
+                expected = "a list of strings"
+                valid = isinstance(value, list) and all(isinstance(s, str) for s in value)
+            elif key == "timeout":
+                expected = "a positive number"
+                valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                         and 0 < value < math.inf)
+            elif key in _CONFIG_KEYS:
+                expected, valid = "a string", isinstance(value, str)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+            if not valid:
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+        return ReproducerConfig(**doc)
+    except ValueError as exc:
+        raise ValueError(f"{build_config}: {exc}") from exc
 
 
 @click.group()
@@ -103,10 +126,8 @@ def _reproducer_config(build_config: str | None, no_reproduce: bool) -> Reproduc
 def cli(ctx, registry_spec, models_dir, corpus_path, hashes_path,
         pattern_table_path, seed, jobs, verbose):
     """Detect potentially malicious npm package versions."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.DEBUG if verbose else logging.WARNING)
     ctx.obj = Settings(
         registry_spec=registry_spec,
         models_dir=models_dir,
@@ -142,6 +163,12 @@ def scan(settings: Settings, specs, batch_file, since, until, out_path,
     if since is not None or until is not None:
         if since is None or until is None:
             raise click.UsageError("--since and --until go together")
+        if not isinstance(registry, FixtureRegistry):
+            # The CLI passes no package names and sets no changes feed.
+            raise click.UsageError(
+                "--since/--until needs a fixture registry; over HTTP pass "
+                "name@version specs or --batch"
+            )
         window = registry.list_new_versions(_as_epoch(since), _as_epoch(until))
         batch += [(name, version) for name, version, _ in window]
     if not batch:
@@ -393,11 +420,12 @@ def main(argv: list[str] | None = None) -> None:
         sys.exit(2)
     except SystemExit:
         raise
-    except PkgwatchError as exc:
+    except (PkgwatchError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except Exception as exc:  # a crash must not exit 1, "flags present"
+        logger.debug("unexpected error", exc_info=True)
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
 
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .tokens import Token, tokenize
+from .tokens import tokenize
 
 RULE_KINDS = (
     "import_of",
@@ -56,6 +56,8 @@ class PatternRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind: {self.kind!r}")
+        if not isinstance(self.value, str) or not self.value:
+            raise ValueError(f"rule value must be a non-empty string, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,46 +123,43 @@ class ScanEvents:
     calls: Counter = field(default_factory=Counter)
     property_pairs: Counter = field(default_factory=Counter)
     identifiers: Counter = field(default_factory=Counter)
-    strings: list[str] = field(default_factory=list)
+    strings: list[str] = field(default_factory=list)  # lower-cased
     dynamic_imports: int = 0
 
 
-def scan_tokens(tokens: list[Token]) -> ScanEvents:
-    """Collect import/call/property/string events from a token stream."""
+def scan_tokens(tokens: list[tuple[str, str]]) -> ScanEvents:
+    """Collect import/call/property/string events from a token stream.
+
+    Strings are stored lower-cased, for case-insensitive rule matching.
+    """
     events = ScanEvents()
-    n = len(tokens)
-
-    def at(idx: int) -> Token | None:
-        return tokens[idx] if 0 <= idx < n else None
-
-    for i, tok in enumerate(tokens):
-        if tok.kind == "string":
-            events.strings.append(tok.value)
+    padded = tokens + [("end", "")] * 3  # look-ahead past the last token
+    for i, (kind, value) in enumerate(tokens):
+        if kind == "string":
+            events.strings.append(value.lower())
             continue
-        if tok.kind != "ident":
+        if kind != "ident":
             continue
 
-        events.identifiers[tok.value] += 1
-        nxt = at(i + 1)
+        events.identifiers[value] += 1
+        nxt = padded[i + 1]
 
-        if tok.value in ("require", "import") and nxt == Token("punct", "("):
-            arg = at(i + 2)
-            if arg is not None and arg.kind == "string" and at(i + 3) == Token("punct", ")"):
-                events.imports[arg.value] += 1
+        if value in ("require", "import") and nxt == ("punct", "("):
+            arg_kind, arg = padded[i + 2]
+            if arg_kind == "string" and padded[i + 3] == ("punct", ")"):
+                events.imports[arg] += 1
             else:
                 events.dynamic_imports += 1
-        elif tok.value == "import" and nxt is not None and nxt.kind == "string":
-            events.imports[nxt.value] += 1
-        elif tok.value == "from" and nxt is not None and nxt.kind == "string":
-            events.imports[nxt.value] += 1
+        elif value in ("import", "from") and nxt[0] == "string":
+            events.imports[nxt[1]] += 1
 
-        if nxt == Token("punct", "("):
-            events.calls[tok.value] += 1
+        if nxt == ("punct", "("):
+            events.calls[value] += 1
 
-        if nxt is not None and nxt.kind == "punct" and nxt.value in (".", "?."):
-            member = at(i + 2)
-            if member is not None and member.kind == "ident":
-                events.property_pairs[f"{tok.value}.{member.value}"] += 1
+        if nxt[0] == "punct" and nxt[1] in (".", "?."):
+            member_kind, member = padded[i + 2]
+            if member_kind == "ident":
+                events.property_pairs[f"{value}.{member}"] += 1
 
     return events
 
@@ -172,7 +171,7 @@ def match_rule(rule: PatternRule, events: ScanEvents) -> int:
         return events.calls[rule.value]
     if rule.kind == "string_literal_containing":
         needle = rule.value.lower()
-        return sum(1 for s in events.strings if needle in s.lower())
+        return sum(1 for s in events.strings if needle in s)
     if rule.kind == "property_access_of":
         if "." in rule.value:
             return events.property_pairs[rule.value]
@@ -198,14 +197,26 @@ def count_matches(text: str, table: PatternTable) -> dict[str, int]:
 def load_pattern_table(path: str | Path) -> PatternTable:
     """Load a rule table from its JSON config file.
 
-    Schema: ``{feature: [{"kind": ..., "value": ...}, ...], ...}``.
+    Schema: ``{feature: [{"kind": ..., "value": ...}, ...], ...}``. A
+    malformed file raises ValueError naming it.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("pattern table config must be a JSON object")
-    rules: dict[str, tuple[PatternRule, ...]] = {}
-    for feature, entries in doc.items():
-        rules[feature] = tuple(
-            PatternRule(kind=e["kind"], value=e["value"]) for e in entries
-        )
-    return PatternTable(rules=rules)
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("pattern table config must be a JSON object")
+        rules: dict[str, tuple[PatternRule, ...]] = {}
+        for feature, entries in doc.items():
+            if not isinstance(entries, list):
+                raise ValueError(f"rules of {feature!r} must be a list")
+            rules[feature] = tuple(_load_rule(entry) for entry in entries)
+        return PatternTable(rules=rules)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_rule(entry) -> PatternRule:
+    if not isinstance(entry, dict):
+        raise ValueError(f"rule must be a JSON object, got {entry!r}")
+    if sorted(entry) != ["kind", "value"]:
+        raise ValueError(f"rule must have the keys 'kind' and 'value', got {sorted(entry)}")
+    return PatternRule(**entry)

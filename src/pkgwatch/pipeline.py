@@ -693,14 +693,22 @@ class ScanReport:
 
     @classmethod
     def read(cls, path: str | Path) -> "ScanReport":
+        """A report written by `write`; a line that is not a verdict record
+        (or the summary) raises ValueError ``<file>:<line>: <reason>``."""
         verdicts = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            if "summary" in record:
-                continue
-            verdicts.append(Verdict.from_record(record))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                if "summary" not in record:
+                    verdicts.append(Verdict.from_record(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{lineno}: {reason}") from exc
         return cls(verdicts=verdicts)
 
     def render_text(self) -> str:

@@ -1,190 +1,98 @@
 """Lightweight JavaScript/TypeScript tokenizer.
 
-Produces just enough structure for token-level pattern rules: identifiers,
-string/template literals, numbers, punctuation, and regex literals, with
-comments and whitespace dropped. Not a parser; the pattern rules it feeds
-are defined over locally decidable token shapes only.
+Produces just enough structure for token-level pattern rules. Each token
+is a ``(kind, value)`` tuple, where kind is ``"ident"``, ``"string"``
+(quoted strings and templates, quotes dropped and escapes resolved),
+``"number"``, ``"punct"`` or ``"regex"`` (the body between the slashes,
+escapes kept, flags dropped). Comments and whitespace yield no token. Not
+a parser; the pattern rules it feeds are defined over locally decidable
+token shapes only.
+
+One compiled pattern, ``_TOKEN``, matches the next token at each
+position. Its alternatives are tried in order, and the named group that
+matched gives the token's kind. A quoted string ends at its quote, at an
+unescaped newline or at the end of the text; a template ends at its
+backtick, and interpolations stay part of its text. A ``/`` is a regex
+literal, matched by ``_REGEX_BODY``, only where `_regex_allowed` says the
+previous token cannot end an operand; elsewhere it is punctuation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
-)
-IDENT_CONT = IDENT_START | frozenset("0123456789")
-DIGITS = frozenset("0123456789")
+import re
 
 # After these a `/` starts a regex literal rather than division.
 _REGEX_PREDECESSOR_KEYWORDS = frozenset(
     "return typeof instanceof in of new delete void throw case do else yield await".split()
 )
 
+_TOKEN = re.compile(r"""
+      [ \t\r\n\f\v\u00a0\ufeff]+
+    | //[^\n]*
+    | /\*[\s\S]*?\*/
+    | (?P<open_comment>/\*)
+    | "(?P<dq>[^"\\\n]*(?:\\(?:[\s\S]|\Z)[^"\\\n]*)*)["\n]?
+    | '(?P<sq>[^'\\\n]*(?:\\(?:[\s\S]|\Z)[^'\\\n]*)*)['\n]?
+    | `(?P<template>[^`\\]*(?:\\[\s\S][^`\\]*)*)`
+    | (?P<open_template>`)
+    | (?P<number>\.?[0-9][0-9A-Za-z_$.]*(?:(?<=[eE])[+-][0-9A-Za-z_$.]*)*)
+    | (?P<ident>[A-Za-z_$][0-9A-Za-z_$]*)
+    | (?P<punct>\?\.|[\s\S])
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "string" | "number" | "punct" | "regex"
-    value: str
+# A regex literal after its opening `/`: `/` inside a `[...]` class does
+# not close it, and a bare newline or the end of the text is an error.
+_REGEX_BODY = re.compile(r"((?:[^\\/\[\n]|\\[\s\S]|\[(?:[^\\\]\n]|\\[\s\S])*\])*)/[0-9A-Za-z_$]*")
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+_KINDS = {"dq": "string", "sq": "string", "template": "string",
+          "number": "number", "ident": "ident", "punct": "punct"}
 
 
 class TokenizeError(ValueError):
     """Input could not be tokenized (unterminated literal, etc.)."""
 
 
-def _regex_allowed(prev: Token | None) -> bool:
+def _regex_allowed(prev: tuple[str, str] | None) -> bool:
     if prev is None:
         return True
-    if prev.kind == "punct":
-        return prev.value not in (")", "]")
-    if prev.kind == "ident":
-        return prev.value in _REGEX_PREDECESSOR_KEYWORDS
+    kind, value = prev
+    if kind == "punct":
+        return value not in (")", "]")
+    if kind == "ident":
+        return value in _REGEX_PREDECESSOR_KEYWORDS
     return False  # after string/number/regex it is division
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize JS/TS source text.
+def tokenize(text: str) -> list[tuple[str, str]]:
+    """Tokenize JS/TS source text into ``(kind, value)`` tuples.
 
-    Raises TokenizeError on unterminated string/template/comment constructs;
-    callers treat that as an unparseable file.
+    Raises TokenizeError on an unterminated block comment, template or
+    regex literal; callers treat that as an unparseable file.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-
-        if ch in " \t\r\n\f\v ﻿":
-            i += 1
-            continue
-
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while True:  # one pass of the pattern, restarted after each regex literal
+        for m in _TOKEN.finditer(text, pos):
+            group = m.lastgroup
+            if group is None:
+                continue  # whitespace or a comment
+            value = m.group(group)
+            if group == "punct":
+                if value == "/" and _regex_allowed(tokens[-1] if tokens else None):
+                    body = _REGEX_BODY.match(text, m.end())
+                    if body is None:
+                        raise TokenizeError("unterminated regex literal")
+                    tokens.append(("regex", body.group(1)))
+                    pos = body.end()
+                    break
+            elif group == "open_comment":
                 raise TokenizeError("unterminated block comment")
-            i = j + 2
-            continue
-
-        if ch in "'\"":
-            i, value = _scan_quoted(text, i, ch)
-            tokens.append(Token("string", value))
-            continue
-
-        if ch == "`":
-            i, value = _scan_template(text, i)
-            tokens.append(Token("string", value))
-            continue
-
-        if ch == "/" and _regex_allowed(tokens[-1] if tokens else None):
-            i, value = _scan_regex(text, i)
-            tokens.append(Token("regex", value))
-            continue
-
-        if ch in DIGITS or (ch == "." and i + 1 < n and text[i + 1] in DIGITS):
-            i, value = _scan_number(text, i)
-            tokens.append(Token("number", value))
-            continue
-
-        if ch in IDENT_START:
-            j = i + 1
-            while j < n and text[j] in IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", text[i:j]))
-            i = j
-            continue
-
-        if ch == "?" and i + 1 < n and text[i + 1] == ".":
-            tokens.append(Token("punct", "?."))
-            i += 2
-            continue
-
-        tokens.append(Token("punct", ch))
-        i += 1
-
-    return tokens
-
-
-def _scan_quoted(text: str, start: int, quote: str) -> tuple[int, str]:
-    i = start + 1
-    n = len(text)
-    out: list[str] = []
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            out.append(text[i + 1])
-            i += 2
-            continue
-        if ch == quote:
-            return i + 1, "".join(out)
-        if ch == "\n":
-            # Tolerate an unterminated single-line string: minified or
-            # concatenated junk should not abort the whole file.
-            return i + 1, "".join(out)
-        out.append(ch)
-        i += 1
-    return n, "".join(out)
-
-
-def _scan_template(text: str, start: int) -> tuple[int, str]:
-    # Interpolation bodies stay part of the literal text; nested templates
-    # inside `${...}` are beyond this tokenizer and end the scan early.
-    i = start + 1
-    n = len(text)
-    out: list[str] = []
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            out.append(text[i + 1])
-            i += 2
-            continue
-        if ch == "`":
-            return i + 1, "".join(out)
-        out.append(ch)
-        i += 1
-    raise TokenizeError("unterminated template literal")
-
-
-def _scan_regex(text: str, start: int) -> tuple[int, str]:
-    i = start + 1
-    n = len(text)
-    in_class = False
-    out: list[str] = []
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            out.append(text[i : i + 2])
-            i += 2
-            continue
-        if ch == "\n":
-            raise TokenizeError("unterminated regex literal")
-        if ch == "[":
-            in_class = True
-        elif ch == "]":
-            in_class = False
-        elif ch == "/" and not in_class:
-            i += 1
-            while i < n and text[i] in IDENT_CONT:  # flags
-                i += 1
-            return i, "".join(out)
-        out.append(ch)
-        i += 1
-    raise TokenizeError("unterminated regex literal")
-
-
-def _scan_number(text: str, start: int) -> tuple[int, str]:
-    i = start
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in IDENT_CONT or ch == ".":
-            i += 1
-        elif ch in "+-" and text[i - 1] in "eE":
-            i += 1
+            elif group == "open_template":
+                raise TokenizeError("unterminated template literal")
+            elif "\\" in value:  # only strings and templates hold one
+                value = _ESCAPE.sub(r"\1", value)
+            tokens.append((_KINDS[group], value))
         else:
-            break
-    return i, text[start:i]
+            return tokens

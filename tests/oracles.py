@@ -8,14 +8,15 @@ types: the corpus fold keeps one `ChangeVector` per (package, version) as
 the store did before it became columnar, so it reads records through
 `ChangeVector.from_record`; and the Boolean encoding is built one
 `ChangeVector` at a time, where the package derives it from a matrix of
-numeric rows.
+numeric rows. The tokenizer is the package's earlier one, a loop per
+character, kept as the differential oracle of the compiled pattern.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,3 +230,189 @@ class ReferenceCorpus:
         if include_unlabeled:
             return [v if v.label is not None else replace(v, label=BENIGN) for v in vectors]
         return [v for v in vectors if v.label is not None]
+
+
+# --- tokenizer ---
+#
+# The tokenizer as it was before `pkgwatch.tokens` became one compiled
+# pattern, unchanged: a loop per character with a sub-scanner per
+# literal kind and a `Token` per token.
+
+IDENT_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+)
+IDENT_CONT = IDENT_START | frozenset("0123456789")
+DIGITS = frozenset("0123456789")
+
+# After these a `/` starts a regex literal rather than division.
+_REGEX_PREDECESSOR_KEYWORDS = frozenset(
+    "return typeof instanceof in of new delete void throw case do else yield await".split()
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident" | "string" | "number" | "punct" | "regex"
+    value: str
+
+
+class TokenizeError(ValueError):
+    """Input could not be tokenized (unterminated literal, etc.)."""
+
+
+def _regex_allowed(prev: Token | None) -> bool:
+    if prev is None:
+        return True
+    if prev.kind == "punct":
+        return prev.value not in (")", "]")
+    if prev.kind == "ident":
+        return prev.value in _REGEX_PREDECESSOR_KEYWORDS
+    return False  # after string/number/regex it is division
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenize JS/TS source text.
+
+    Raises TokenizeError on unterminated string/template/comment constructs;
+    callers treat that as an unparseable file.
+    """
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+
+        if ch in " \t\r\n\f\v ﻿":
+            i += 1
+            continue
+
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            if j < 0:
+                raise TokenizeError("unterminated block comment")
+            i = j + 2
+            continue
+
+        if ch in "'\"":
+            i, value = _scan_quoted(text, i, ch)
+            tokens.append(Token("string", value))
+            continue
+
+        if ch == "`":
+            i, value = _scan_template(text, i)
+            tokens.append(Token("string", value))
+            continue
+
+        if ch == "/" and _regex_allowed(tokens[-1] if tokens else None):
+            i, value = _scan_regex(text, i)
+            tokens.append(Token("regex", value))
+            continue
+
+        if ch in DIGITS or (ch == "." and i + 1 < n and text[i + 1] in DIGITS):
+            i, value = _scan_number(text, i)
+            tokens.append(Token("number", value))
+            continue
+
+        if ch in IDENT_START:
+            j = i + 1
+            while j < n and text[j] in IDENT_CONT:
+                j += 1
+            tokens.append(Token("ident", text[i:j]))
+            i = j
+            continue
+
+        if ch == "?" and i + 1 < n and text[i + 1] == ".":
+            tokens.append(Token("punct", "?."))
+            i += 2
+            continue
+
+        tokens.append(Token("punct", ch))
+        i += 1
+
+    return tokens
+
+
+def _scan_quoted(text: str, start: int, quote: str) -> tuple[int, str]:
+    i = start + 1
+    n = len(text)
+    out: list[str] = []
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            out.append(text[i + 1])
+            i += 2
+            continue
+        if ch == quote:
+            return i + 1, "".join(out)
+        if ch == "\n":
+            # Tolerate an unterminated single-line string: minified or
+            # concatenated junk should not abort the whole file.
+            return i + 1, "".join(out)
+        out.append(ch)
+        i += 1
+    return n, "".join(out)
+
+
+def _scan_template(text: str, start: int) -> tuple[int, str]:
+    # Interpolation bodies stay part of the literal text; nested templates
+    # inside `${...}` are beyond this tokenizer and end the scan early.
+    i = start + 1
+    n = len(text)
+    out: list[str] = []
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            out.append(text[i + 1])
+            i += 2
+            continue
+        if ch == "`":
+            return i + 1, "".join(out)
+        out.append(ch)
+        i += 1
+    raise TokenizeError("unterminated template literal")
+
+
+def _scan_regex(text: str, start: int) -> tuple[int, str]:
+    i = start + 1
+    n = len(text)
+    in_class = False
+    out: list[str] = []
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            out.append(text[i : i + 2])
+            i += 2
+            continue
+        if ch == "\n":
+            raise TokenizeError("unterminated regex literal")
+        if ch == "[":
+            in_class = True
+        elif ch == "]":
+            in_class = False
+        elif ch == "/" and not in_class:
+            i += 1
+            while i < n and text[i] in IDENT_CONT:  # flags
+                i += 1
+            return i, "".join(out)
+        out.append(ch)
+        i += 1
+    raise TokenizeError("unterminated regex literal")
+
+
+def _scan_number(text: str, start: int) -> tuple[int, str]:
+    i = start
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in IDENT_CONT or ch == ".":
+            i += 1
+        elif ch in "+-" and text[i - 1] in "eE":
+            i += 1
+        else:
+            break
+    return i, text[start:i]

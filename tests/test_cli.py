@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from conftest import FixtureRegistryBuilder, build_training_vectors, make_tgz
 from pkgwatch.cli import cli, main, parse_spec
-from pkgwatch.pipeline import CorpusStore, ModelStore, retrain
+from pkgwatch.pipeline import CorpusStore, ModelStore, ScanReport, retrain
 
 
 @pytest.fixture
@@ -239,3 +239,84 @@ def test_jobs_below_one_is_usage_error(runner, workspace, jobs):
 def test_missing_registry_is_usage_error(runner):
     result = runner.invoke(cli, ["scan", "a@1.0.0"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ([], "must be a JSON object"),
+    ({"pii_access": "password"}, "rules of 'pii_access' must be a list"),
+    ({"pii_access": ["x"]}, "rule must be a JSON object"),
+    ({"pii_access": [{"value": "password"}]}, "keys 'kind' and 'value'"),
+    ({"pii_access": [{"kind": "call_of", "value": "x", "weight": 2}]},
+     "keys 'kind' and 'value'"),
+    ({"pii_access": [{"kind": "string_literal_containing", "value": 5}]},
+     "rule value must be a non-empty string, got 5"),
+    ({"pii_access": [{"kind": "call_of", "value": ""}]}, "non-empty string"),
+    ({"pii_access": [{"kind": "call_of", "value": "x"}]}, "has no rules"),
+], ids=["not-an-object", "rules-not-a-list", "rule-not-an-object", "missing-kind",
+        "unknown-key", "value-not-a-string", "empty-value", "feature-without-rules"])
+def test_malformed_pattern_table_exits_2(workspace, tmp_path, capsys, doc, reason):
+    table = tmp_path / "rules.json"
+    table.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["--pattern-table", str(table),
+                                     "scan", "plain@1.0.1", "--no-reproduce", "--no-record"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {table}: " in err and reason in err
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (["npm pack"], "must be a JSON object"),
+    ({"pack_cmd": "npm pack"}, "unknown key 'pack_cmd'"),
+    ({"build_scripts": "build"}, "build_scripts must be a list of strings"),
+    ({"build_scripts": ["build", 1]}, "build_scripts must be a list of strings"),
+    ({"timeout": 0}, "timeout must be a positive number"),
+    ({"timeout": "60"}, "timeout must be a positive number"),
+    ({"timeout": True}, "timeout must be a positive number"),
+    ({"install_command": ["npm", "install"]}, "install_command must be a string"),
+], ids=["not-an-object", "unknown-key", "scripts-a-string", "script-not-a-string",
+        "zero-timeout", "string-timeout", "boolean-timeout", "command-a-list"])
+def test_malformed_build_config_exits_2(workspace, tmp_path, capsys, doc, reason):
+    config = tmp_path / "build.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["scan", "plain@1.0.1", "--no-record",
+                                     "--build-config", str(config)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and reason in err
+
+
+def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
+    report = workspace["tmp"] / "r.jsonl"
+    report.write_text('{"summary": {}}\n{}\n')
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(report)])
+    assert exit_info.value.code == 2
+    assert f"error: {report}:2: missing field 'package'" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_2_not_1(workspace, monkeypatch, capsys, caplog):
+    def crash(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ScanReport, "read", crash)
+    report = str(workspace["tmp"] / "r.jsonl")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", report])
+    assert exit_info.value.code == 2
+    assert "error: RuntimeError: boom" in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-v", "report", report])
+    assert exit_info.value.code == 2
+    assert "Traceback" in caplog.text and "RuntimeError: boom" in caplog.text
+
+
+def test_window_over_http_points_to_specs_or_batch(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--registry", "http://127.0.0.1:9", "scan",
+              "--since", "2021-08-01T00:00:00Z", "--until", "2021-08-02T00:00:00Z"])
+    assert exit_info.value.code == 2
+    assert "name@version specs or --batch" in capsys.readouterr().err
