@@ -164,7 +164,7 @@ def scan(settings: Settings, specs, batch_file, since, until, out_path,
         if since is None or until is None:
             raise click.UsageError("--since and --until go together")
         if not isinstance(registry, FixtureRegistry):
-            # The CLI passes no package names and sets no changes feed.
+            # Over HTTP a window needs package names, and the CLI takes none.
             raise click.UsageError(
                 "--since/--until needs a fixture registry; over HTTP pass "
                 "name@version specs or --batch"

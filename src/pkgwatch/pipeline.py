@@ -127,8 +127,10 @@ class Verdict:
 
     @classmethod
     def from_record(cls, record: dict) -> "Verdict":
+        """The verdict `to_record` wrote; ValueError for an unknown model or
+        model output, or a `final` that the fusion rule does not give."""
         clone = record.get("clone")
-        return cls(
+        verdict = cls(
             package=record["package"],
             version=record["version"],
             model_flags=dict(record.get("models", {})),
@@ -139,6 +141,18 @@ class Verdict:
             error=record.get("error"),
             triage=record.get("triage"),
         )
+        for model_id, flag in verdict.model_flags.items():
+            if model_id not in MODEL_IDS:
+                raise ValueError(f"unknown model {model_id!r}")
+            if flag not in (MALICIOUS, BENIGN):
+                raise ValueError(f"model {model_id} output {flag!r} is not malicious or benign")
+        if verdict.final not in (FLAGGED, AUTO_CLEARED, CLEAN, ERROR):
+            raise ValueError(f"unknown final status {verdict.final!r}")
+        expected = derive_final(verdict.model_flags, verdict.clone_match,
+                                verdict.reproduce_status, verdict.error)
+        if verdict.final != expected:
+            raise ValueError(f"final {verdict.final!r} differs from the fusion rule's {expected!r}")
+        return verdict
 
 
 def derive_final(

@@ -119,6 +119,28 @@ def _check_version(version: str) -> str:
     return version
 
 
+def list_window(
+    registry, names: list[str], since: float, until: float
+) -> list[tuple[str, str, float]]:
+    """(name, version, ts) of each version of `names` published inside
+    [since, until], sorted by (ts, name, version); a name without a
+    readable document is logged and skipped."""
+    if since > until:
+        raise ValueError("since must not exceed until")
+    found: list[tuple[str, str, float]] = []
+    for name in names:
+        try:
+            document = registry.fetch_document(name)
+        except (NotFound, MalformedDocument) as exc:
+            logger.warning("skipping %s: %s", name, exc)
+            continue
+        for version, ts in document.time.items():
+            if since <= ts <= until:
+                found.append((document.name, version, ts))
+    found.sort(key=lambda item: (item[2], item[0], item[1]))
+    return found
+
+
 class FixtureRegistry:
     """Registry backed by a local directory; never touches the network."""
 
@@ -147,21 +169,9 @@ class FixtureRegistry:
         self, since: float, until: float
     ) -> list[tuple[str, str, float]]:
         """All fixture versions published inside [since, until], time-sorted."""
-        if since > until:
-            raise ValueError("since must not exceed until")
-        found: list[tuple[str, str, float]] = []
-        for meta in sorted(self.root.rglob("*.meta")):
-            name = str(meta.relative_to(self.root))[: -len(".meta")]
-            try:
-                document = self.fetch_document(name)
-            except MalformedDocument as exc:
-                logger.warning("skipping fixture %s: %s", meta, exc)
-                continue
-            for version, ts in document.time.items():
-                if since <= ts <= until:
-                    found.append((document.name, version, ts))
-        found.sort(key=lambda item: (item[2], item[0], item[1]))
-        return found
+        names = [str(meta.relative_to(self.root))[: -len(".meta")]
+                 for meta in sorted(self.root.rglob("*.meta"))]
+        return list_window(self, names, since, until)
 
 
 class HttpRegistry:
@@ -181,14 +191,12 @@ class HttpRegistry:
         backoff: float = 0.5,
         cache_dir: str | Path | None = None,
         session=None,
-        changes_url: str | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.changes_url = changes_url
         self._session = session
         # The process that opened self._session; None for a caller's session.
         self._session_pid: int | None = None
@@ -268,37 +276,10 @@ class HttpRegistry:
         return data
 
     def list_new_versions(
-        self,
-        since: float,
-        until: float,
-        names: list[str] | None = None,
+        self, since: float, until: float, names: list[str]
     ) -> list[tuple[str, str, float]]:
-        """Versions of the given packages published inside [since, until].
-
-        Without an explicit name list the optional changes feed supplies
-        candidate names.
-        """
-        if since > until:
-            raise ValueError("since must not exceed until")
-        if names is None:
-            if not self.changes_url:
-                raise ValueError(
-                    "HTTP mode needs an explicit package list or a changes feed"
-                )
-            feed = self._get(self.changes_url).json()
-            names = [row["id"] for row in feed.get("results", []) if "id" in row]
-        found: list[tuple[str, str, float]] = []
-        for name in names:
-            try:
-                document = self.fetch_document(name)
-            except (NotFound, MalformedDocument) as exc:
-                logger.warning("skipping %s: %s", name, exc)
-                continue
-            for version, ts in document.time.items():
-                if since <= ts <= until:
-                    found.append((document.name, version, ts))
-        found.sort(key=lambda item: (item[2], item[0], item[1]))
-        return found
+        """Versions of the given packages published inside [since, until]."""
+        return list_window(self, names, since, until)
 
 
 def open_registry(spec: str, cache_dir: str | Path | None = None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -158,29 +159,34 @@ def _run(
     cmd: list[str] | str,
     cwd: Path,
     env: dict[str, str],
-    timeout: float,
+    deadline: float,
     logs: list[str],
-    shell: bool = False,
 ) -> int:
+    """Run one step, a str through the shell and a list without it, in its
+    own process group, which is killed when the step exits or times out;
+    TimeoutExpired once the monotonic `deadline` has passed."""
     shown = cmd if isinstance(cmd, str) else " ".join(cmd)
     logs.append(f"$ {shown}")
-    try:
-        proc = subprocess.run(
-            cmd,
-            cwd=str(cwd),
-            env=env,
-            shell=shell,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
+    timeout = deadline - time.monotonic()
+    if timeout <= 0:
         logs.append("! timed out")
-        raise
-    if proc.stdout.strip():
-        logs.append(proc.stdout.strip()[-2000:])
-    if proc.stderr.strip():
-        logs.append(proc.stderr.strip()[-2000:])
+        raise subprocess.TimeoutExpired(cmd, 0)
+    with subprocess.Popen(cmd, cwd=str(cwd), env=env, shell=isinstance(cmd, str),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            outputs = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            logs.append("! timed out")
+            raise
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the group is already gone
+    for output in outputs:
+        if output.strip():
+            logs.append(output.strip()[-2000:])
     logs.append(f"exit {proc.returncode}")
     return proc.returncode
 
@@ -201,47 +207,19 @@ def reproduce(
     try:
         workdir = sandbox / "src"
         env = _scrubbed_env(sandbox)
-
-        def remaining() -> float:
-            return deadline - time.monotonic()
-
+        git = config.git_executable
         try:
-            code = _run(
-                [config.git_executable, "clone", "--quiet", plan.repo_url, str(workdir)],
-                cwd=sandbox, env=env, timeout=max(remaining(), 0.1), logs=logs,
-            )
+            if _run([git, "clone", "--quiet", plan.repo_url, str(workdir)],
+                    sandbox, env, deadline, logs):
+                return ReproduceResult(status=NO_REPO, logs=logs)
+            if all(_run([git, "checkout", "--quiet", "--detach", ref],
+                        workdir, env, deadline, logs) for ref in plan.refs):
+                return ReproduceResult(status=REF_NOT_FOUND, logs=logs)
+            for command in plan.build_commands:
+                if _run(command, workdir, env, deadline, logs):
+                    return ReproduceResult(status=BUILD_FAILED, logs=logs)
         except subprocess.TimeoutExpired:
             return ReproduceResult(status=TIMEOUT, logs=logs)
-        if code != 0:
-            return ReproduceResult(status=NO_REPO, logs=logs)
-
-        resolved = False
-        for ref in plan.refs:
-            try:
-                code = _run(
-                    [config.git_executable, "checkout", "--quiet", "--detach", ref],
-                    cwd=workdir, env=env, timeout=max(remaining(), 0.1), logs=logs,
-                )
-            except subprocess.TimeoutExpired:
-                return ReproduceResult(status=TIMEOUT, logs=logs)
-            if code == 0:
-                resolved = True
-                break
-        if not resolved:
-            return ReproduceResult(status=REF_NOT_FOUND, logs=logs)
-
-        for command in plan.build_commands:
-            if remaining() <= 0:
-                return ReproduceResult(status=TIMEOUT, logs=logs)
-            try:
-                code = _run(
-                    command, cwd=workdir, env=env,
-                    timeout=remaining(), logs=logs, shell=True,
-                )
-            except subprocess.TimeoutExpired:
-                return ReproduceResult(status=TIMEOUT, logs=logs)
-            if code != 0:
-                return ReproduceResult(status=BUILD_FAILED, logs=logs)
 
         tarballs = sorted(
             workdir.glob(config.pack_output), key=lambda p: p.stat().st_mtime

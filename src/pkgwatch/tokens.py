@@ -92,7 +92,7 @@ def tokenize(text: str) -> list[tuple[str, str]]:
             elif group == "open_template":
                 raise TokenizeError("unterminated template literal")
             elif "\\" in value:  # only strings and templates hold one
-                value = _ESCAPE.sub(r"\1", value)
+                value = "".join(_ESCAPE.split(value))
             tokens.append((_KINDS[group], value))
         else:
             return tokens

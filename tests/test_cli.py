@@ -296,6 +296,36 @@ def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
     assert f"error: {report}:2: missing field 'package'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"final": "bogus", "models": {"decision-tree": "malicious"}},
+     "unknown final status 'bogus'"),
+    ({"final": "clean", "models": {"decision-tree": "malicious"}},
+     "final 'clean' differs from the fusion rule's 'flagged'"),
+    ({"final": "clean", "models": {"nope": "maybe"}}, "unknown model 'nope'"),
+    ({"final": "clean", "models": {"naive-bayes": "maybe"}},
+     "model naive-bayes output 'maybe' is not malicious or benign"),
+], ids=["unknown-final", "hidden-flag", "unknown-model", "unknown-output"])
+def test_report_of_a_record_the_fusion_rule_rejects_exits_2(workspace, capsys,
+                                                             fields, reason):
+    report = workspace["tmp"] / "r.jsonl"
+    report.write_text(json.dumps({"package": "a", "version": "1.0.0", **fields}) + "\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(report)])
+    assert exit_info.value.code == 2
+    assert f"error: {report}:1: {reason}" in capsys.readouterr().err
+
+
+def test_report_written_by_scan_reads_back(runner, workspace):
+    out = workspace["tmp"] / "r.jsonl"
+    result = runner.invoke(cli, base_args(workspace) + [
+        "scan", "plain@1.0.1", "dropper@2.0.0", "--no-reproduce", "--out", str(out),
+    ])
+    assert result.exit_code == 1, result.output
+    report = ScanReport.read(out)
+    assert {v.final for v in report.verdicts} == {"clean", "flagged"}
+    assert report.to_lines() == out.read_text().splitlines()
+
+
 def test_unexpected_exception_exits_2_not_1(workspace, monkeypatch, capsys, caplog):
     def crash(path):
         raise RuntimeError("boom")

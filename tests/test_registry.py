@@ -217,6 +217,8 @@ def http_registry():
     _Handler.requests_seen = []
     yield HttpRegistry(base, timeout=5, retries=3, backoff=0.01)
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def test_http_fetch_document(http_registry):
@@ -270,11 +272,33 @@ def test_http_unknown_version(http_registry):
         )
 
 
-def test_http_list_new_versions_requires_names(http_registry):
-    with pytest.raises(ValueError):
-        http_registry.list_new_versions(0.0, 1e12)
-    rows = http_registry.list_new_versions(0.0, 1e12, names=["web-pkg"])
+def test_http_list_new_versions_requires_names(http_registry, caplog):
+    rows = http_registry.list_new_versions(0.0, 1e12, names=["web-pkg", "absent"])
     assert [(n, v) for n, v, _ in rows] == [("web-pkg", "1.0.0")]
+    assert "skipping absent: 404" in caplog.text
+
+
+def test_fixture_and_http_list_the_same_window(http_registry, tmp_path):
+    documents = {
+        "alpha": {"name": "alpha", "versions": {"1.0.0": {}, "1.1.0": {}},
+                  "time": {"1.0.0": "2021-07-01T00:00:00Z",
+                           "1.1.0": "2021-07-30T00:00:00Z"}},
+        "beta": {"name": "beta", "versions": {"0.1.0": {}},
+                 "time": {"created": "2021-07-29T00:00:00Z",
+                          "0.1.0": "2021-07-29T00:00:00Z"}},
+        "broken": {"name": "broken", "versions": "none"},
+    }
+    root = tmp_path / "fixture"
+    root.mkdir()
+    for name, document in documents.items():
+        (root / f"{name}.meta").write_text(json.dumps(document))
+    _Handler.documents = documents
+    since, until = parse_iso8601("2021-07-15T00:00:00Z"), 2e9
+
+    fixture = FixtureRegistry(root).list_new_versions(since, until)
+    http = http_registry.list_new_versions(since, until, [*documents, "ghost"])
+    assert fixture == http
+    assert [(n, v) for n, v, _ in fixture] == [("beta", "0.1.0"), ("alpha", "1.1.0")]
 
 
 UNSAFE_VERSIONS = ("", "1.0.0/../../../escaped", "1.0.0\\..\\escaped")

@@ -1,4 +1,6 @@
 import subprocess
+import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from pkgwatch.reproduce import (
     TIMEOUT,
     ReproducePlan,
     ReproducerConfig,
+    _run,
     compare_artifacts,
     make_plan,
     normalize_repo_url,
@@ -213,3 +216,46 @@ def test_commands_logged_verbatim(tmp_path):
     assert any(line == "$ echo building" for line in result.logs)
     assert f"$ {PACK}" in result.logs
     assert result.status != BUILD_FAILED, result.logs
+
+
+def _gone_or_zombie(pid: int, wait: float = 2.0) -> bool:
+    """True once `pid` has exited: SIGKILL lands asynchronously, so allow
+    it `wait` seconds, far less than the 30 s the sleepers below ask for."""
+    stop = time.monotonic() + wait
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > stop:
+            return False
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("command, status", [
+    ("sleep 30 & echo $! > {pid}; wait", TIMEOUT),
+    ("sleep 30 > /dev/null 2>&1 & echo $! > {pid}", BUILD_FAILED),
+], ids=["timed-out", "exited"])
+def test_no_step_child_outlives_reproduce(tmp_path, command, status):
+    url = init_git_repo(tmp_path / "repo",
+                        {"package.json": repo_manifest()}, tag="v1.0.0")
+    pid_file = tmp_path / "pid"
+    plan = ReproducePlan(url, ("v1.0.0",), (command.format(pid=pid_file),),
+                         timeout=2.0 if status == TIMEOUT else 30.0)
+    result = reproduce(plan, load_tarball(make_tgz()), FIXTURE_CONFIG)
+    assert result.status == status, result.logs
+    assert _gone_or_zombie(int(pid_file.read_text()))
+
+
+def test_no_step_starts_after_the_deadline(tmp_path, monkeypatch):
+    def start(*args, **kwargs):
+        raise AssertionError("a step started after the deadline")
+
+    monkeypatch.setattr(subprocess, "Popen", start)
+    logs = []
+    with pytest.raises(subprocess.TimeoutExpired):
+        _run("true", tmp_path, {}, time.monotonic(), logs)
+    assert logs == ["$ true", "! timed out"]
