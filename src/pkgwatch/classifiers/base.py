@@ -39,15 +39,15 @@ def check_labels(y, n_rows: int) -> np.ndarray:
         raise ValueError("labels must be one-dimensional")
     if len(y) != n_rows:
         raise ValueError(f"{n_rows} rows but {len(y)} labels")
-    bad = {v for v in y if v not in (MALICIOUS, BENIGN)}
-    if bad:
-        raise ValueError(f"unknown labels: {sorted(map(str, bad))}")
+    known = (y == MALICIOUS) | (y == BENIGN)
+    if not known.all():
+        raise ValueError(f"unknown labels: {sorted(map(str, set(y[~known])))}")
     return y
 
 
 def labels_to_binary(y: np.ndarray) -> np.ndarray:
     """malicious -> 1, benign -> 0."""
-    return np.fromiter((1 if v == MALICIOUS else 0 for v in y), dtype=int, count=len(y))
+    return (y == MALICIOUS).astype(int)
 
 
 def stored_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -30,6 +30,7 @@ import logging
 import multiprocessing
 import os
 import threading
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -61,7 +62,14 @@ from .clones import (
 from .errors import PkgwatchError, UnknownVersion
 from .features import FeatureVector, extract_features
 from .patterns import DEFAULT_PATTERN_TABLE, PatternTable
-from .reproduce import NO_REPO, REPRODUCED, ReproducerConfig, make_plan, reproduce
+from .reproduce import (
+    NO_REPO,
+    REPRODUCED,
+    STATUSES,
+    ReproducerConfig,
+    make_plan,
+    reproduce,
+)
 from .vectorize import (
     BENIGN,
     MALICIOUS,
@@ -127,8 +135,9 @@ class Verdict:
 
     @classmethod
     def from_record(cls, record: dict) -> "Verdict":
-        """The verdict `to_record` wrote; ValueError for an unknown model or
-        model output, or a `final` that the fusion rule does not give."""
+        """The verdict `to_record` wrote; ValueError for an unknown model,
+        model output, reproduce status or triage, or a `final` that the
+        fusion rule does not give."""
         clone = record.get("clone")
         verdict = cls(
             package=record["package"],
@@ -146,6 +155,10 @@ class Verdict:
                 raise ValueError(f"unknown model {model_id!r}")
             if flag not in (MALICIOUS, BENIGN):
                 raise ValueError(f"model {model_id} output {flag!r} is not malicious or benign")
+        if verdict.reproduce_status not in (None, *STATUSES):
+            raise ValueError(f"unknown reproduce status {verdict.reproduce_status!r}")
+        if verdict.triage not in (None, TRUE_POSITIVE, FALSE_POSITIVE):
+            raise ValueError(f"triage {verdict.triage!r} is not true-positive or false-positive")
         if verdict.final not in (FLAGGED, AUTO_CLEARED, CLEAN, ERROR):
             raise ValueError(f"unknown final status {verdict.final!r}")
         expected = derive_final(verdict.model_flags, verdict.clone_match,
@@ -221,6 +234,8 @@ class CorpusStore:
 
     def _load(self) -> None:
         lineno = 1
+        # lines[i] is the line that row i was last read from.
+        lines = array("l")
         with open(self.path, encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
@@ -228,12 +243,27 @@ class CorpusStore:
                     raise ValueError("not a corpus file")
                 for lineno, line in enumerate(fh, start=2):
                     if line.strip():
-                        self._apply(json.loads(line))
+                        index = self._apply(json.loads(line))
+                        if index == len(lines):
+                            lines.append(lineno)
+                        elif index is not None:
+                            lines[index] = lineno
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{self.path}:{lineno}: {reason}") from exc
+        # json.loads takes NaN, Infinity and 1e999. One check of the folded
+        # rows keeps the load fast; a row the fold discarded is not checked.
+        rows = self._rows[:len(self._keys)]
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            index = min(bad.tolist(), key=lines.__getitem__)
+            column = int(np.flatnonzero(~np.isfinite(rows[index]))[0])
+            raise ValueError(f"{self.path}:{lines[index]}: {NUMERIC_SCHEMA[column]} "
+                             f"is not a finite number: {float(rows[index, column])}")
 
-    def _apply(self, event: dict) -> None:
+    def _apply(self, event: dict) -> int | None:
+        """Fold one event into the view; the index of the row a vector
+        event stored, or None when it stored none."""
         if not isinstance(event, dict):
             raise ValueError("event is not a JSON object")
         kind = event.get("event")
@@ -244,16 +274,20 @@ class CorpusStore:
             key = (record["package"], record["version"])
             index = self._index.get(key)
             if index is None:
+                index = len(self._keys)
                 self._insert(key, row, label, event.get("digest"))
-            elif self._labels[index] is None and label is not None:
+                return index
+            if self._labels[index] is None and label is not None:
                 self._rows[index] = row
                 self._labels[index] = label
                 self._training_sets.clear()
+                return index
         elif kind == "label":
             label = check_label(event["label"])
             index = self._index.get((event["package"], event["version"]))
             if index is not None:
                 self._relabel(index, label, event.get("date"))
+        return None
 
     def _insert(self, key: tuple[str, str], row: list[float], label: str | None,
                 digest: str | None) -> None:

@@ -31,6 +31,8 @@ NO_REPO = "no-repo"
 REF_NOT_FOUND = "ref-not-found"
 BUILD_FAILED = "build-failed"
 TIMEOUT = "timeout"
+#: Every status `reproduce` returns.
+STATUSES = (REPRODUCED, MISMATCH, NO_REPO, REF_NOT_FOUND, BUILD_FAILED, TIMEOUT)
 
 _FETCHABLE_SCHEMES = ("https://", "http://", "git://", "ssh://", "file://")
 

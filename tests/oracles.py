@@ -9,7 +9,9 @@ the store did before it became columnar, so it reads records through
 `ChangeVector.from_record`; and the Boolean encoding is built one
 `ChangeVector` at a time, where the package derives it from a matrix of
 numeric rows. The tokenizer is the package's earlier one, a loop per
-character, kept as the differential oracle of the compiled pattern.
+character, kept as the differential oracle of the compiled pattern, and
+`reference_one_class_svm` is the package's earlier SVM solver, which steps
+over every row and keeps its gradient incrementally.
 """
 
 from __future__ import annotations
@@ -176,6 +178,61 @@ def qp_one_class_svm(Z, nu: float) -> tuple[np.ndarray, np.ndarray, float]:
         hi = g[alpha <= margin].min() if (alpha <= margin).any() else None
         rho = float((lo + hi) / 2.0) if lo is not None and hi is not None else float(lo or hi)
     return alpha, w, rho
+
+
+def reference_one_class_svm(Z, nu: float, tol: float = 1e-8,
+                            max_iter: int = 1_000_000) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The package's earlier solver: maximal-violating-pair steps over all
+    rows, with an incrementally updated gradient and no shrinking.
+
+    Returns (alpha, w, rho, steps) on the already-standardized matrix Z.
+    """
+    Z = np.asarray(Z, dtype=float)
+    n = Z.shape[0]
+    C = 1.0 / (nu * n)
+    alpha = np.zeros(n)
+    k = int(np.floor(nu * n))
+    alpha[: min(k, n)] = C
+    if k < n:
+        alpha[k] = 1.0 - k * C
+
+    w = Z.T @ alpha
+    g = Z @ w
+    bound = C * 1e-9
+    steps = 0
+    while True:
+        up = alpha < C - bound
+        low = alpha > bound
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmin(g[up])])
+        j = int(np.flatnonzero(low)[np.argmax(g[low])])
+        violation = g[j] - g[i]
+        if violation <= tol:
+            break
+        if steps >= max_iter:
+            raise RuntimeError(f"no convergence after {max_iter} steps")
+        diff = Z[i] - Z[j]
+        eta = float(diff @ diff)
+        step = violation / eta if eta > 1e-12 else np.inf
+        step = min(step, C - alpha[i], alpha[j])
+        alpha[i] += step
+        alpha[j] -= step
+        w += step * diff
+        g += step * (Z @ diff)
+        steps += 1
+
+    free = (alpha > bound) & (alpha < C - bound)
+    if free.any():
+        rho = float(g[free].min())
+    else:
+        at_c = alpha >= C - bound
+        at_zero = alpha <= bound
+        lo = g[at_c].max() if at_c.any() else None
+        hi = g[at_zero].min() if at_zero.any() else None
+        rho = float((lo + hi) / 2.0) if lo is not None and hi is not None else float(
+            lo if lo is not None else hi)
+    return alpha, w, rho, steps
 
 
 # --- Boolean encoding ---

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FixtureRegistryBuilder, build_training_vectors, make_tgz
+from pkgwatch.classifiers import ocsvm
 from pkgwatch.cli import cli, main, parse_spec
 from pkgwatch.pipeline import CorpusStore, ModelStore, ScanReport, retrain
 
@@ -150,6 +151,18 @@ def test_retrain_bumps_model_version(runner, workspace):
     result = runner.invoke(cli, base_args(workspace) + ["retrain"])
     assert result.exit_code == 0, result.output
     assert ModelStore(workspace["models"]).version() == 2
+
+
+def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, monkeypatch,
+                                                                  capsys):
+    models = Path(workspace["models"])
+    before = {path.name: path.read_bytes() for path in models.iterdir()}
+    monkeypatch.setattr(ocsvm, "MAX_ITER", 1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["retrain"])
+    assert exit_info.value.code == 2
+    assert "error: no convergence after 1 coordinate steps" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in models.iterdir()} == before
 
 
 def test_train_command(runner, workspace):
@@ -304,7 +317,12 @@ def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
     ({"final": "clean", "models": {"nope": "maybe"}}, "unknown model 'nope'"),
     ({"final": "clean", "models": {"naive-bayes": "maybe"}},
      "model naive-bayes output 'maybe' is not malicious or benign"),
-], ids=["unknown-final", "hidden-flag", "unknown-model", "unknown-output"])
+    ({"final": "flagged", "models": {"decision-tree": "malicious"}, "reproduce": "bogus"},
+     "unknown reproduce status 'bogus'"),
+    ({"final": "flagged", "models": {"decision-tree": "malicious"}, "triage": "whatever"},
+     "triage 'whatever' is not true-positive or false-positive"),
+], ids=["unknown-final", "hidden-flag", "unknown-model", "unknown-output",
+        "unknown-reproduce", "unknown-triage"])
 def test_report_of_a_record_the_fusion_rule_rejects_exits_2(workspace, capsys,
                                                              fields, reason):
     report = workspace["tmp"] / "r.jsonl"

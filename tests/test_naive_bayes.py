@@ -1,10 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import nb_log_posterior
-from pkgwatch.classifiers import MODEL_NB, BernoulliNaiveBayes, load_model, save_model
+from pkgwatch.classifiers import (
+    MODEL_NB,
+    BernoulliNaiveBayes,
+    DecisionTreeClassifier,
+    load_model,
+    save_model,
+)
 from pkgwatch.errors import SchemaMismatch, SingleClassError
 
 M, B = "malicious", "benign"
@@ -91,6 +98,14 @@ def test_non_boolean_input_rejected():
     y = np.array([M, B], dtype=object)
     with pytest.raises(ValueError):
         BernoulliNaiveBayes().fit(X, y)
+
+
+@pytest.mark.parametrize("model", [BernoulliNaiveBayes, DecisionTreeClassifier])
+def test_unknown_labels_are_named_sorted(model):
+    X = np.array([[1.0], [0.0], [1.0], [0.0]])
+    y = np.array([M, "spam", None, B], dtype=object)
+    with pytest.raises(ValueError, match=re.escape("unknown labels: ['None', 'spam']")):
+        model().fit(X, y)
 
 
 def test_serialization_round_trip(tmp_path):

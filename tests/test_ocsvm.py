@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import qp_one_class_svm
-from pkgwatch.classifiers import MODEL_SVM, LinearOneClassSvm, load_model, save_model
-from pkgwatch.errors import TooFewSamples
+from conftest import build_training_vectors
+from oracles import qp_one_class_svm, reference_one_class_svm
+from pkgwatch.classifiers import MODEL_SVM, LinearOneClassSvm, load_model, ocsvm, save_model
+from pkgwatch.errors import ConvergenceFailure, TooFewSamples
+from pkgwatch.vectorize import BENIGN, NUMERIC_SCHEMA, encode
 
 M, B = "malicious", "benign"
 
@@ -125,3 +130,100 @@ def test_serialization_round_trip(tmp_path):
     probe = _cluster(rng, n=50)
     assert np.array_equal(model.predict(probe), clone.predict(probe))
     assert np.allclose(model.decision_function(probe), clone.decision_function(probe))
+
+
+# --- the solver against the earlier one -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seed5_pool():
+    """Numeric rows and benign flags of `build_training_vectors(100, 300, seed=5)`."""
+    pool = build_training_vectors(100, 300, seed=5)
+    return np.array([encode(v) for v in pool]), np.array([v.label == BENIGN for v in pool])
+
+
+def resampled_benign_rows(pool, seed: int, picks: int) -> np.ndarray:
+    """Benign rows of a corpus resampled from `pool` the way the benchmark
+    builds its corpus: `picks` draws, each row's elapsed time scaled by
+    U(0.9, 1.1) and rounded to 3 places."""
+    rows, benign = pool
+    rng = np.random.default_rng(seed + 1)
+    chosen = rng.integers(0, len(rows), picks)
+    jitter = rng.uniform(0.9, 1.1, picks)
+    X = rows[chosen]
+    col = NUMERIC_SCHEMA.index("time_since_prev")
+    X[:, col] = [round(t * s, 3) for t, s in zip(X[:, col].tolist(), jitter.tolist())]
+    return X[benign[chosen]]
+
+
+def scaled(model: LinearOneClassSvm, X) -> np.ndarray:
+    """X as the solver sees it: scaled, in the solver's column-major layout,
+    so that products with coef_ repeat its arithmetic bit for bit."""
+    return np.asfortranarray(X / model.scale_)
+
+
+def assert_optimal(model: LinearOneClassSvm, Z: np.ndarray) -> None:
+    """alpha_ is feasible, coef_ is Z' alpha_, and the KKT violation over
+    all rows is at most TOL."""
+    a = model.alpha_
+    C = 1.0 / (model.nu * len(Z))
+    bound = C * 1e-9
+    assert a.min() >= 0.0 and a.max() <= C * (1 + 1e-12)
+    assert a.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(model.coef_ - Z.T @ a).max() <= 1e-9
+    g = Z @ model.coef_
+    assert g[a > bound].max() - g[a < C - bound].min() <= ocsvm.TOL
+
+
+def assert_matches_reference(X, nu: float) -> None:
+    model = LinearOneClassSvm(nu=nu).fit(X)
+    Z = scaled(model, X)
+    _, w, rho, _ = reference_one_class_svm(Z, nu)
+    assert 0.5 * model.coef_ @ model.coef_ == pytest.approx(0.5 * w @ w, rel=1e-9)
+    assert np.abs(model.coef_ - w).max() <= 1e-7
+    ours, theirs = Z @ model.coef_ - model.rho_, Z @ w - rho
+    clear = np.abs(ours) > 1e-6
+    assert np.array_equal(ours[clear] < 0, theirs[clear] < 0)
+    assert_optimal(model, Z)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_matches_reference_solver_on_jittered_clusters(seed):
+    rng = np.random.default_rng(seed)
+    base = _cluster(rng, n=200)
+    X = base[rng.integers(0, len(base), 5000)]
+    X *= 1 + 1e-3 * rng.standard_normal(X.shape)
+    assert_matches_reference(X, nu=[0.001, 0.01, 0.05, 0.2][seed])
+
+
+def test_matches_reference_solver_on_a_resampled_corpus(seed5_pool):
+    assert_matches_reference(resampled_benign_rows(seed5_pool, 5, 9_000), nu=0.001)
+
+
+def test_seed5_corpus_fits_in_few_steps(seed5_pool):
+    # The benign rows of the seed-5 benchmark corpus: the earlier solver
+    # took 20,024 steps (about 15 s) on them.
+    X = resampled_benign_rows(seed5_pool, 5, 90_000)
+    start = time.monotonic()
+    model = LinearOneClassSvm().fit(X)
+    elapsed = time.monotonic() - start
+    assert model.n_iter_ <= 5_000
+    assert elapsed < 2.0  # about 0.3 s on a 2-core host
+    assert_optimal(model, scaled(model, X))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_step_count_is_bounded_on_jittered_copies(seed5_pool, seed):
+    X = resampled_benign_rows(seed5_pool, 5, 9_000)
+    X *= 1 + 1e-6 * np.random.default_rng(seed).standard_normal(X.shape)
+    model = LinearOneClassSvm().fit(X)
+    assert model.n_iter_ <= 3_000
+    assert_optimal(model, scaled(model, X))
+
+
+def test_step_budget_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(ocsvm, "MAX_ITER", 3)
+    X = _cluster(np.random.default_rng(10), n=500, d=5)
+    with pytest.raises(ConvergenceFailure, match="no convergence after 3 coordinate steps"):
+        LinearOneClassSvm(nu=0.05).fit(X)

@@ -28,6 +28,7 @@ from pkgwatch.features import FeatureVector
 from pkgwatch.pipeline import (
     AUTO_CLEARED,
     CLEAN,
+    CORPUS_FORMAT,
     ERROR,
     FLAGGED,
     CorpusStore,
@@ -41,7 +42,7 @@ from pkgwatch.pipeline import (
     scan,
 )
 from pkgwatch.registry import FixtureRegistry
-from pkgwatch.reproduce import REPRODUCED, ReproducerConfig
+from pkgwatch.reproduce import REPRODUCED, STATUSES, ReproducerConfig
 from pkgwatch.vectorize import BENIGN, MALICIOUS, ChangeVector, build_change_vector
 from pkgwatch.versioning import UpdateType
 
@@ -624,6 +625,54 @@ def test_corpus_load_error_names_file_and_line(tmp_path, line, reason):
         CorpusStore(path)
 
 
+@pytest.mark.parametrize("field", ["entropy_mean", "time_since_prev"])
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"), ("1e999", "inf")])
+def test_corpus_load_rejects_a_value_that_is_not_finite(tmp_path, field, text, shown):
+    path = tmp_path / "c.jsonl"
+    store = CorpusStore(path)
+    store.add_vector(first_vector())
+    record = first_vector(package="q").to_record()
+    if field == "time_since_prev":
+        record[field] = "@"
+    else:
+        record["deltas"][field] = "@"
+    line = json.dumps({"event": "vector", "vector": record}).replace('"@"', text)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    store.set_label("p", "1.0.0", BENIGN)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: {field} is not a finite number: {shown}")):
+        CorpusStore(path)
+
+
+def test_corpus_load_ignores_a_value_the_fold_discards(tmp_path):
+    path = tmp_path / "c.jsonl"
+    CorpusStore(path).add_vector(first_vector(label=BENIGN))
+    record = first_vector(label=MALICIOUS).to_record()
+    record["deltas"]["entropy_mean"] = "@"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event": "vector", "vector": record}).replace('"@"', "NaN") + "\n")
+    assert CorpusStore(path).get("p", "1.0.0").vector.label == BENIGN
+
+
+def test_corpus_load_names_the_line_of_the_kept_row(tmp_path):
+    # Line 2, unlabeled, has a NaN; line 3, labeled, replaces it and has an
+    # Infinity: the error names line 3, the row the fold keeps.
+    path = tmp_path / "c.jsonl"
+    unlabeled = first_vector().to_record()
+    unlabeled["deltas"]["entropy_mean"] = "@"
+    labeled = first_vector(label=MALICIOUS).to_record()
+    labeled["time_since_prev"] = "@"
+    lines = [json.dumps({"event": "vector", "vector": record})
+             for record in (unlabeled, labeled)]
+    path.write_text(json.dumps({"format": CORPUS_FORMAT}) + "\n" +
+                    lines[0].replace('"@"', "NaN") + "\n" +
+                    lines[1].replace('"@"', "Infinity") + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: time_since_prev is not a finite number: inf")):
+        CorpusStore(path)
+
+
 def test_label_true_positive_registers_digest(tmp_path):
     corpus = CorpusStore(tmp_path / "c.jsonl")
     hash_set = MalwareHashSet(tmp_path / "h.txt")
@@ -777,6 +826,21 @@ def test_report_summary_and_round_trip(tmp_path):
     assert len(lines) == 4  # one per verdict + summary
     reread = ScanReport.read(path)
     assert [v.to_record() for v in reread.verdicts] == \
+           [v.to_record() for v in verdicts]
+
+
+def test_report_reads_back_every_reproduce_status_and_triage(tmp_path):
+    flags = {MODEL_TREE: M}
+    verdicts = [
+        Verdict(package=f"p{k}", version="1", model_flags=flags, reproduce_status=status,
+                triage=triage, final=derive_final(flags, None, status))
+        for k, (status, triage) in enumerate(
+            (status, triage) for status in STATUSES
+            for triage in (None, "true-positive", "false-positive"))
+    ]
+    path = tmp_path / "report.jsonl"
+    ScanReport(verdicts).write(path)
+    assert [v.to_record() for v in ScanReport.read(path).verdicts] == \
            [v.to_record() for v in verdicts]
 
 
