@@ -95,6 +95,12 @@ def _reproducer_config(build_config: str | None, no_reproduce: bool) -> Reproduc
                 expected = "a positive number"
                 valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
                          and 0 < value < math.inf)
+            elif key == "script_command":
+                expected = "a string that formats with {script} alone"
+                try:  # of the JSON values only a str has `format`
+                    valid = isinstance(value.format(script="x"), str)
+                except (AttributeError, LookupError, TypeError, ValueError):
+                    valid = False
             elif key in _CONFIG_KEYS:
                 expected, valid = "a string", isinstance(value, str)
             else:
@@ -300,8 +306,8 @@ def label_cmd(settings: Settings, package, version, triage):
 def clone_check(settings: Settings, spec, tarball):
     """Match one package version against the known-malware hash set."""
     artifact = _resolve_artifact(settings, spec, tarball)
-    match = find_clone(artifact, settings.hashes())
     digest = canonical_digest(artifact)
+    match = find_clone(artifact, settings.hashes(), known=digest)
     if match is None:
         click.echo(f"no clone match ({digest})")
     else:

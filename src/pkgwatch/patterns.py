@@ -15,12 +15,15 @@ Rules are pure and locally decidable:
 as dynamic code loading: it increments the ``dynamic_code`` feature
 directly, independent of the rule table, because the target module is
 statically undecidable.
+
+A `PatternTable` compiles its rules once, into lookups; `scan_tokens`
+counts in its one walk over the tokens, with one lookup per construct and
+one test per string needle of each string.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,9 +65,15 @@ class PatternRule:
 
 @dataclass(frozen=True)
 class PatternTable:
-    """Per-feature rule lists; every count feature needs at least one rule."""
+    """Per-feature rule lists; every count feature needs at least one rule.
+
+    `index` maps each ``(kind, value)`` to the feature of each of its rules;
+    `needles` pairs each lower-cased string needle with its feature.
+    """
 
     rules: dict[str, tuple[PatternRule, ...]]
+    index: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    needles: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for feature in COUNT_FEATURES:
@@ -73,6 +82,15 @@ class PatternTable:
         for feature in self.rules:
             if feature not in COUNT_FEATURES:
                 raise ValueError(f"unknown feature in pattern table: {feature!r}")
+        index: dict[tuple[str, str], tuple[str, ...]] = {}
+        for feature, rules in self.rules.items():
+            for rule in rules:
+                key = (rule.kind, rule.value)
+                index[key] = index.get(key, ()) + (feature,)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "needles", tuple(
+            (value.lower(), feature) for (kind, value), features in index.items()
+            if kind == "string_literal_containing" for feature in features))
 
 
 def _rule(kind: str, *values: str) -> list[PatternRule]:
@@ -115,68 +133,39 @@ DEFAULT_PATTERN_TABLE = PatternTable(
 )
 
 
-@dataclass
-class ScanEvents:
-    """Aggregated token-level events from one source file."""
-
-    imports: Counter = field(default_factory=Counter)
-    calls: Counter = field(default_factory=Counter)
-    property_pairs: Counter = field(default_factory=Counter)
-    identifiers: Counter = field(default_factory=Counter)
-    strings: list[str] = field(default_factory=list)  # lower-cased
-    dynamic_imports: int = 0
-
-
-def scan_tokens(tokens: list[tuple[str, str]]) -> ScanEvents:
-    """Collect import/call/property/string events from a token stream.
-
-    Strings are stored lower-cased, for case-insensitive rule matching.
-    """
-    events = ScanEvents()
+def scan_tokens(tokens: list[tuple[str, str]], table: PatternTable) -> dict[str, int]:
+    """Per-feature match counts of a token stream, in one walk over it."""
+    counts = dict.fromkeys(table.rules, 0)
+    index, needles = table.index, table.needles
     padded = tokens + [("end", "")] * 3  # look-ahead past the last token
     for i, (kind, value) in enumerate(tokens):
         if kind == "string":
-            events.strings.append(value.lower())
+            lowered = value.lower()
+            for needle, feature in needles:
+                if needle in lowered:
+                    counts[feature] += 1
             continue
         if kind != "ident":
             continue
-
-        events.identifiers[value] += 1
+        # An identifier holds no dot, so only dotless values match here.
+        constructs = [("property_access_of", value)]
         nxt = padded[i + 1]
-
-        if value in ("require", "import") and nxt == ("punct", "("):
-            arg_kind, arg = padded[i + 2]
-            if arg_kind == "string" and padded[i + 3] == ("punct", ")"):
-                events.imports[arg] += 1
-            else:
-                events.dynamic_imports += 1
-        elif value in ("import", "from") and nxt[0] == "string":
-            events.imports[nxt[1]] += 1
-
         if nxt == ("punct", "("):
-            events.calls[value] += 1
-
-        if nxt[0] == "punct" and nxt[1] in (".", "?."):
-            member_kind, member = padded[i + 2]
-            if member_kind == "ident":
-                events.property_pairs[f"{value}.{member}"] += 1
-
-    return events
-
-
-def match_rule(rule: PatternRule, events: ScanEvents) -> int:
-    if rule.kind == "import_of":
-        return events.imports[rule.value]
-    if rule.kind == "call_of":
-        return events.calls[rule.value]
-    if rule.kind == "string_literal_containing":
-        needle = rule.value.lower()
-        return sum(1 for s in events.strings if needle in s)
-    if rule.kind == "property_access_of":
-        if "." in rule.value:
-            return events.property_pairs[rule.value]
-        return events.identifiers[rule.value]
-    raise ValueError(f"unknown rule kind: {rule.kind!r}")
+            constructs.append(("call_of", value))
+            if value in ("require", "import"):
+                arg_kind, arg = padded[i + 2]
+                if arg_kind == "string" and padded[i + 3] == ("punct", ")"):
+                    constructs.append(("import_of", arg))
+                else:
+                    counts[DYNAMIC_IMPORT_FEATURE] += 1
+        elif nxt[0] == "string" and value in ("import", "from"):
+            constructs.append(("import_of", nxt[1]))
+        elif nxt[0] == "punct" and nxt[1] in (".", "?.") and padded[i + 2][0] == "ident":
+            constructs.append(("property_access_of", f"{value}.{padded[i + 2][1]}"))
+        for construct in constructs:
+            for feature in index.get(construct, ()):
+                counts[feature] += 1
+    return counts
 
 
 def count_matches(text: str, table: PatternTable) -> dict[str, int]:
@@ -185,13 +174,7 @@ def count_matches(text: str, table: PatternTable) -> dict[str, int]:
     Raises TokenizeError when the file cannot be tokenized; the caller
     records a warning and counts the file as zero matches.
     """
-    events = scan_tokens(tokenize(text))
-    counts = {
-        feature: sum(match_rule(rule, events) for rule in rules)
-        for feature, rules in table.rules.items()
-    }
-    counts[DYNAMIC_IMPORT_FEATURE] += events.dynamic_imports
-    return counts
+    return scan_tokens(tokenize(text), table)
 
 
 def load_pattern_table(path: str | Path) -> PatternTable:

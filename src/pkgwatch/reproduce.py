@@ -3,8 +3,8 @@
 A successful rebuild whose canonical digest matches the registry artifact
 downgrades a classifier flag; every other outcome leaves the flag alone.
 The build runs in a throwaway working directory with a scrubbed
-environment, and command lines plus output are logged verbatim into the
-result for auditability.
+environment, and command lines plus the tail of their output are logged
+into the result for auditability.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,29 +167,36 @@ def _run(
 ) -> int:
     """Run one step, a str through the shell and a list without it, in its
     own process group, which is killed when the step exits or times out;
-    TimeoutExpired once the monotonic `deadline` has passed."""
+    TimeoutExpired once the monotonic `deadline` has passed. Its stdout and
+    stderr go to one temporary file, of which the last 2,000 bytes are logged."""
     shown = cmd if isinstance(cmd, str) else " ".join(cmd)
     logs.append(f"$ {shown}")
     timeout = deadline - time.monotonic()
     if timeout <= 0:
         logs.append("! timed out")
         raise subprocess.TimeoutExpired(cmd, 0)
-    with subprocess.Popen(cmd, cwd=str(cwd), env=env, shell=isinstance(cmd, str),
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, start_new_session=True) as proc:
+    with tempfile.TemporaryFile() as output, subprocess.Popen(
+            cmd, cwd=str(cwd), env=env, shell=isinstance(cmd, str), stdin=subprocess.DEVNULL,
+            stdout=output, stderr=output, start_new_session=True) as proc:
+        # A thread's blocking wait wakes at the exit; Popen.wait(timeout)
+        # polls, sleeping up to 50 ms between checks.
+        waiter = threading.Thread(target=proc.wait)
+        waiter.start()
         try:
-            outputs = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            logs.append("! timed out")
-            raise
+            waiter.join(timeout)
+            if waiter.is_alive():
+                logs.append("! timed out")
+                raise subprocess.TimeoutExpired(cmd, timeout)
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass  # the group is already gone
-    for output in outputs:
-        if output.strip():
-            logs.append(output.strip()[-2000:])
+            waiter.join()
+        output.seek(max(0, output.seek(0, os.SEEK_END) - 2000))
+        tail = output.read().decode("utf-8", errors="replace").strip()
+    if tail:
+        logs.append(tail)
     logs.append(f"exit {proc.returncode}")
     return proc.returncode
 

@@ -9,7 +9,9 @@ the store did before it became columnar, so it reads records through
 `ChangeVector.from_record`; and the Boolean encoding is built one
 `ChangeVector` at a time, where the package derives it from a matrix of
 numeric rows. The tokenizer is the package's earlier one, a loop per
-character, kept as the differential oracle of the compiled pattern, and
+character, kept as the differential oracle of the compiled pattern;
+`reference_count_matches` is the package's earlier rule matcher, which
+collects a file's events first and then runs one match per rule; and
 `reference_one_class_svm` is the package's earlier SVM solver, which steps
 over every row and keeps its gradient incrementally.
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -473,3 +476,82 @@ def _scan_number(text: str, start: int) -> tuple[int, str]:
         else:
             break
     return i, text[start:i]
+
+
+# --- pattern rules ---
+
+@dataclass
+class ScanEvents:
+    """Aggregated token-level events from one source file."""
+
+    imports: Counter = field(default_factory=Counter)
+    calls: Counter = field(default_factory=Counter)
+    property_pairs: Counter = field(default_factory=Counter)
+    identifiers: Counter = field(default_factory=Counter)
+    strings: list[str] = field(default_factory=list)  # lower-cased
+    dynamic_imports: int = 0
+
+
+def scan_events(tokens: list[tuple[str, str]]) -> ScanEvents:
+    """Collect import/call/property/string events from a token stream."""
+    events = ScanEvents()
+    padded = tokens + [("end", "")] * 3  # look-ahead past the last token
+    for i, (kind, value) in enumerate(tokens):
+        if kind == "string":
+            events.strings.append(value.lower())
+            continue
+        if kind != "ident":
+            continue
+
+        events.identifiers[value] += 1
+        nxt = padded[i + 1]
+
+        if value in ("require", "import") and nxt == ("punct", "("):
+            arg_kind, arg = padded[i + 2]
+            if arg_kind == "string" and padded[i + 3] == ("punct", ")"):
+                events.imports[arg] += 1
+            else:
+                events.dynamic_imports += 1
+        elif value in ("import", "from") and nxt[0] == "string":
+            events.imports[nxt[1]] += 1
+
+        if nxt == ("punct", "("):
+            events.calls[value] += 1
+
+        if nxt[0] == "punct" and nxt[1] in (".", "?."):
+            member_kind, member = padded[i + 2]
+            if member_kind == "ident":
+                events.property_pairs[f"{value}.{member}"] += 1
+
+    return events
+
+
+def match_rule(rule, events: ScanEvents) -> int:
+    if rule.kind == "import_of":
+        return events.imports[rule.value]
+    if rule.kind == "call_of":
+        return events.calls[rule.value]
+    if rule.kind == "string_literal_containing":
+        needle = rule.value.lower()
+        return sum(1 for s in events.strings if needle in s)
+    if rule.kind == "property_access_of":
+        if "." in rule.value:
+            return events.property_pairs[rule.value]
+        return events.identifiers[rule.value]
+    raise ValueError(f"unknown rule kind: {rule.kind!r}")
+
+
+def reference_scan(tokens: list[tuple[str, str]], table) -> dict[str, int]:
+    """Per-feature counts of a token stream: one `match_rule` per rule."""
+    events = scan_events(tokens)
+    counts = {
+        feature: sum(match_rule(rule, events) for rule in rules)
+        for feature, rules in table.rules.items()
+    }
+    counts["dynamic_code"] += events.dynamic_imports
+    return counts
+
+
+def reference_count_matches(text: str, table) -> dict[str, int]:
+    """Per-feature counts of one source file, through this module's tokenizer."""
+    return reference_scan([(t.kind, t.value) for t in tokenize(text)], table)

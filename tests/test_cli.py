@@ -147,6 +147,25 @@ def test_label_then_clone_check(runner, workspace):
     assert "no clone match" in missing.output
 
 
+def test_clone_check_digests_the_artifact_once(runner, workspace, monkeypatch):
+    from pkgwatch import cli as cli_module, clones
+
+    runner.invoke(cli, base_args(workspace) + ["scan", "dropper@2.0.0", "--no-reproduce"])
+    runner.invoke(cli, base_args(workspace) + ["label", "dropper", "2.0.0", "true-positive"])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return digest(*args, **kwargs)
+
+    digest = clones.canonical_digest
+    monkeypatch.setattr(clones, "canonical_digest", counted)
+    monkeypatch.setattr(cli_module, "canonical_digest", counted)
+    result = runner.invoke(cli, base_args(workspace) + ["clone-check", "plain@1.0.1"])
+    assert "no clone match (md5:" in result.output
+    assert len(calls) == 1
+
+
 def test_retrain_bumps_model_version(runner, workspace):
     result = runner.invoke(cli, base_args(workspace) + ["retrain"])
     assert result.exit_code == 0, result.output
@@ -287,8 +306,11 @@ def test_malformed_pattern_table_exits_2(workspace, tmp_path, capsys, doc, reaso
     ({"timeout": "60"}, "timeout must be a positive number"),
     ({"timeout": True}, "timeout must be a positive number"),
     ({"install_command": ["npm", "install"]}, "install_command must be a string"),
+    ({"script_command": "npm run {name}"}, "script_command must be a string that formats"),
+    ({"script_command": "npm run {script"}, "script_command must be a string that formats"),
 ], ids=["not-an-object", "unknown-key", "scripts-a-string", "script-not-a-string",
-        "zero-timeout", "string-timeout", "boolean-timeout", "command-a-list"])
+        "zero-timeout", "string-timeout", "boolean-timeout", "command-a-list",
+        "script-command-unknown-field", "script-command-unclosed-brace"])
 def test_malformed_build_config_exits_2(workspace, tmp_path, capsys, doc, reason):
     config = tmp_path / "build.json"
     config.write_text(json.dumps(doc))

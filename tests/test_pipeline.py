@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,8 +367,7 @@ def test_scan_hostile_items_become_error_verdicts(registry_builder, trained_mode
         ]
 
 
-def test_flagged_but_reproducible_is_auto_cleared(registry_builder, trained_models,
-                                                  tmp_path):
+def scan_rebuildable(registry_builder, trained_models, tmp_path, config):
     import test_reproduce
 
     # A brand-new package with install script + network use (so the models
@@ -394,9 +394,23 @@ def test_flagged_but_reproducible_is_auto_cleared(registry_builder, trained_mode
     hash_set = MalwareHashSet(tmp_path / "hashes.txt")
 
     outcome = scan(registry, [("fresh-legit", "1.0.0")], trained_models,
-                   hash_set, reproducer_config=FIXTURE_BUILD)
+                   hash_set, reproducer_config=config)
     verdict = outcome.verdicts[0]
     assert verdict.model_flagged
+    return verdict
+
+
+def test_flagged_but_reproducible_is_auto_cleared(registry_builder, trained_models,
+                                                  tmp_path):
+    verdict = scan_rebuildable(registry_builder, trained_models, tmp_path, FIXTURE_BUILD)
+    assert verdict.reproduce_status == REPRODUCED
+    assert verdict.final == AUTO_CLEARED
+
+
+def test_build_output_that_is_not_utf8_keeps_the_verdict(registry_builder, trained_models,
+                                                         tmp_path):
+    config = replace(FIXTURE_BUILD, install_command="printf '\\377'")
+    verdict = scan_rebuildable(registry_builder, trained_models, tmp_path, config)
     assert verdict.reproduce_status == REPRODUCED
     assert verdict.final == AUTO_CLEARED
 

@@ -1,4 +1,7 @@
+import os
 import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -259,3 +262,32 @@ def test_no_step_starts_after_the_deadline(tmp_path, monkeypatch):
     with pytest.raises(subprocess.TimeoutExpired):
         _run("true", tmp_path, {}, time.monotonic(), logs)
     assert logs == ["$ true", "! timed out"]
+
+
+def test_step_output_costs_no_memory(tmp_path):
+    # In a fresh interpreter, whose peak RSS is then the one `_run` reached.
+    script = textwrap.dedent("""
+        import resource, sys, time
+        from pathlib import Path
+        from pkgwatch.reproduce import _run
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        logs = []
+        _run("yes 0123456789 | head -c 50000000", Path(sys.argv[1]), {"PATH": "/usr/bin:/bin"},
+             time.monotonic() + 60, logs)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(grown, len(logs[1]))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    grown_kb, logged = map(int, out.stdout.split())
+    assert grown_kb < 20_000
+    assert logged <= 2000
+
+
+def test_output_that_is_not_utf8_is_logged_with_replacements(tmp_path):
+    url = init_git_repo(tmp_path / "repo", {"package.json": repo_manifest()}, tag="v1.0.0")
+    plan = ReproducePlan(url, ("v1.0.0",), ("printf 'a\\377b'", "exit 3"), 30.0)
+    result = reproduce(plan, load_tarball(make_tgz()), FIXTURE_CONFIG)
+    assert result.status == BUILD_FAILED
+    assert "a\ufffdb" in result.logs

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from pkgwatch.patterns import scan_tokens
+from pkgwatch.patterns import DEFAULT_PATTERN_TABLE, PatternRule, PatternTable, scan_tokens
 from pkgwatch.tokens import TokenizeError, tokenize
 
 # Pieces of text that change how a JS tokenizer reads what follows them.
@@ -73,13 +73,20 @@ def test_tokens_are_tuples():
     ]
 
 
-def test_scan_tokens_stores_strings_lower_cased_and_looks_past_the_end():
-    events = scan_tokens(tokenize('var s = "PassWord"; a.b; require("x"'))
-    assert events.strings == ["password", "x"]
-    assert events.property_pairs == {"a.b": 1}
-    assert events.dynamic_imports == 1 and not events.imports
-    assert scan_tokens(tokenize("require(")).dynamic_imports == 1
-    assert scan_tokens(tokenize("a.")).property_pairs == {}
+def test_scan_tokens_matches_strings_case_insensitively_and_looks_past_the_end():
+    table = PatternTable(rules={
+        **DEFAULT_PATTERN_TABLE.rules,
+        "pii_access": (PatternRule("string_literal_containing", "passWORD"),),
+        "fs_access": (PatternRule("property_access_of", "a.b"),
+                      PatternRule("property_access_of", "a."),
+                      PatternRule("import_of", "x")),
+    })
+    counts = scan_tokens(tokenize('var s = "PassWord"; a.b; require("x"'), table)
+    assert counts["pii_access"] == 1
+    assert counts["fs_access"] == 1  # a.b; no static import of "x"
+    assert counts["dynamic_code"] == 1
+    assert scan_tokens(tokenize("require("), table)["dynamic_code"] == 1
+    assert scan_tokens(tokenize("a."), table) == dict.fromkeys(table.rules, 0)
 
 
 MB = 1_000_000
