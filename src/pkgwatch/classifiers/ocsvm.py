@@ -5,7 +5,7 @@ Solves the standard nu-parameterized separating-hyperplane program
     minimize   0.5 * ||w||^2 + (1 / (nu * n)) * sum(xi_i) - rho
     subject to w . x_i >= rho - xi_i,  xi_i >= 0
 
-via pairwise projected coordinate descent on its dual:
+with Wolfe's minimum-norm-point algorithm on its dual:
 
     minimize   0.5 * a' K a
     subject to 0 <= a_i <= 1 / (nu * n),  sum(a) = 1
@@ -18,35 +18,33 @@ from the origin, and centering makes the uniform coefficient vector
 feasible with w = mean(Z) = 0, collapsing the decision function to zero
 everywhere. A version is flagged when w . z - rho is strictly negative.
 
-The solver. Each step moves dual weight a between two rows: to i, the row
-with the smallest gradient among those whose weight can grow, from j,
-chosen among the rows whose weight can shrink and whose gradient is larger
-than i's as the one whose pair step, clipped to the bounds, lowers the
-objective most. This is the second-order working set selection of Fan,
-Chen & Lin (JMLR 2005), scored by the gain of the clipped step as
-Glasmachers & Igel (JMLR 2006) do. Because the kernel is linear, row t's
-gradient is z_t . w: the solver keeps w (one entry per column), adds each
-step's change to it, and computes the gradients from it afresh at every
-step. So the stop test on a subset of rows and the check over all rows
-read the same w, and no per-row gradient is kept that could drift. w is
-the source of truth and is stored as coef_; it equals Z' alpha_ up to the
-rounding of those updates, since it is never rebuilt from alpha_.
+The solver. Since a' K a = ||Z' a||^2, the optimal w = Z' a is the point
+of smallest norm in the polytope {Z' a : a feasible}, the "reduced convex
+hull" of the rows (Bennett & Bredensteiner, ICML 2000). A linear function
+g . a over the feasible set is minimized by a vertex: weight C = 1 / (nu
+* n) on the K = floor(nu * n) rows with the smallest g and the rest of
+the unit mass on the next one, so one argpartition finds it. Wolfe's
+algorithm ("Finding the nearest point in a polytope", Math. Programming
+1976) solves the problem exactly from that oracle. It keeps a corral of
+vertices (each stored as its rows, all sharing the same weights) and w
+as a convex combination of their points. Each iteration asks the oracle
+for the vertex that minimizes g = Z w, adds it, and moves w to the
+affine minimizer of the corral's points; while that minimizer has a
+weight at or below 0, w moves toward it only until the first weight
+reaches 0, and that vertex leaves the corral. The corral holds a few
+affinely independent points (at most d + 1), so an iteration costs one
+product with Z and one partition, however close the rows are. The affine
+minimizer comes from a least-squares solve on the points' differences:
+the Gram system of the points is too ill-conditioned on nearly collinear
+rows. Every product with Z runs in numpy's own loops, not in BLAS, so the
+result does not depend on the BLAS thread count.
 
-Shrinking (Joachims 1999, as LIBSVM does it). The steps run on an active
-set of rows. Every SHRINK_EVERY steps it drops the rows that sit at a
-bound and are no candidates to leave it: a row at 0 whose gradient is
-above that of every row that can shrink, and a row at C below that of
-every row that can grow. Active rows are compacted in place at the front
-of the solver's own scaled matrix, with an index array back to the
-original rows, so shrinking costs no copy of the matrix.
-
-The full check. When the maximal violation on the active set (the largest
-gradient among rows that can shrink minus the smallest among rows that
-can grow) is at most TOL, the matrix is refilled, every row becomes
-active again and the gradient of all rows is computed. The solver stops
-only when the violation over all rows is at most TOL, and otherwise steps
-on. So the result meets the same KKT condition as a solve without
-shrinking, and MAX_ITER still bounds the run.
+The loop stops when the oracle's point p gives w . (w - p) <= TOL^2 *
+max(1, w . w), so that no vertex lowers w . w any further, or when an
+iteration no longer lowers w . w. alpha_ is the corral's combination of
+vertices and coef_ is w. fit raises ConvergenceFailure unless the KKT
+violation over all rows (the largest gradient among rows above 0 minus
+the smallest among rows below C) is then at most TOL.
 """
 
 from __future__ import annotations
@@ -61,13 +59,9 @@ from .base import check_matrix, stored_array
 
 #: Stopping tolerance on the maximal KKT violation over all rows.
 TOL = 1e-8
-#: Coordinate steps before `fit` gives up with ConvergenceFailure: the
-#: bound on its running time.
+#: Iterations before `fit` gives up with ConvergenceFailure: the bound on
+#: its running time.
 MAX_ITER = 1_000_000
-#: Steps between two shrinks of the active set.
-SHRINK_EVERY = 10
-#: Rows moved per block when the active set is compacted.
-_CHUNK = 4096
 
 
 class LinearOneClassSvm:
@@ -87,18 +81,9 @@ class LinearOneClassSvm:
         self.scale_ = np.where(std > 0, std, 1.0)
 
         C = 1.0 / (self.nu * n)
-        alpha = np.zeros(n)
-        k = int(np.floor(self.nu * n))
-        alpha[: min(k, n)] = C
-        if k < n:
-            alpha[k] = 1.0 - k * C
         bound = C * 1e-9
-
-        w, g, it = _solve(X, self.scale_, alpha, C, bound)
-        self.alpha_ = alpha
-        self.coef_ = w
-        self.n_iter_ = it
-        self.rho_ = self._solve_rho(alpha, g, C, bound)
+        self.alpha_, self.coef_, g, self.n_iter_ = _solve(X, self.scale_, self.nu, C, bound)
+        self.rho_ = self._solve_rho(self.alpha_, g, C, bound)
         return self
 
     @staticmethod
@@ -148,78 +133,77 @@ class LinearOneClassSvm:
         return model
 
 
-def _solve(X: np.ndarray, scale: np.ndarray, alpha: np.ndarray, C: float,
-           bound: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step `alpha` (updated in place) to the dual optimum on X / scale.
+def _solve(X: np.ndarray, scale: np.ndarray, nu: float, C: float,
+           bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The dual optimum on X / scale.
 
-    Returns w, the gradient of every row in the original order, and the
-    number of steps taken.
+    Returns alpha, w, the gradient Z w of every row, and the number of
+    iterations taken.
     """
-    n = len(alpha)
+    n = len(X)
     # Column-major, so that a product with w reads each column in one run.
-    # Rows [0, m) are the active set; rows[t] is active row t's original row.
     Z = np.empty(X.shape, order="F")
     np.divide(X, scale, out=Z)
-    w = Z.T @ alpha
-    m = n
-    rows = np.arange(n)
-    up_bar, low_bar = _bars(alpha, C, bound)
+    # Every vertex puts these weights on its rows: C on the k rows with the
+    # smallest gradient and the rest of the unit mass on the next one.
+    k = int(np.floor(nu * n))
+    weights = np.full(min(k + 1, n), C)
+    if k < n:
+        weights[k] = 1.0 - k * C
+
+    def vertex(g: np.ndarray) -> np.ndarray:
+        # A copy: a slice would keep the whole n-row partition alive.
+        return np.argpartition(g, len(weights) - 1)[:len(weights)].copy()
+
+    def point(rows: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,i->j", Z[rows], weights)
+
+    # The corral: its vertices' rows, their points P and convex weights lam.
+    corral = [vertex(np.arange(n, dtype=float))]
+    P = point(corral[0])[None, :]
+    lam = np.ones(1)
+    w = P[0]
+    last = np.inf
     it = 0
     while True:
-        # The gradient of the dual objective is g = Z w. g_low is g where a
-        # row can shrink and -inf elsewhere; g_up is g where it can grow.
-        g_up = Z[:m] @ w
-        g_low = g_up - low_bar[:m]
-        g_up += up_bar[:m]
-        i = int(g_up.argmin())
-        lo, hi = g_up[i], g_low.max()
-        if hi - lo <= TOL:  # also when no row can grow or none can shrink
-            if m == n:
-                return w, Z @ w, it
-            # Optimal on the active set: check every row.
-            np.divide(X, scale, out=Z)
-            m = n
-            rows = np.arange(n)
-            up_bar, low_bar = _bars(alpha, C, bound)
-            continue
+        ww = w @ w
+        g = np.einsum("ij,j->i", Z, w)
+        rows = vertex(g)
+        p = point(rows)
+        if ww >= last or ww - w @ p <= TOL**2 * max(1.0, ww):
+            break
         if it >= MAX_ITER:
-            raise ConvergenceFailure(f"no convergence after {MAX_ITER} coordinate steps")
-
-        # Row i grows. Row j is the row that can shrink whose pair step
-        # with i, clipped to the bounds, lowers the objective most.
-        cand = np.flatnonzero(g_low > lo)
-        diffs = Z[i] - Z[cand]
-        etas = np.einsum("ij,ij->i", diffs, diffs)
-        gaps = g_low[cand] - lo
-        steps = np.minimum(gaps / np.maximum(etas, 1e-12), alpha[rows[cand]])
-        np.minimum(steps, C - alpha[rows[i]], out=steps)
-        k = int((steps * (gaps - 0.5 * etas * steps)).argmax())
-        j = int(cand[k])
-        alpha[rows[i]] += steps[k]
-        alpha[rows[j]] -= steps[k]
-        w += steps[k] * diffs[k]
-        for t in (i, j):
-            up_bar[t] = 0.0 if alpha[rows[t]] < C - bound else np.inf
-            low_bar[t] = 0.0 if alpha[rows[t]] > bound else np.inf
+            raise ConvergenceFailure(f"no convergence after {MAX_ITER} iterations")
         it += 1
+        last = ww
+        corral.append(rows)
+        P = np.vstack([P, p])
+        lam = np.append(lam, 0.0)
+        while True:
+            # mu: the weights of the corral's affine minimizer.
+            rest = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)[0]
+            mu = np.concatenate([[1.0 - rest.sum()], rest])
+            if (mu > 0).all():
+                lam = mu
+                break
+            # Move lam toward mu until the first weight reaches 0, and drop
+            # that vertex. A weight that is 0 in both (a new vertex that
+            # duplicates a point of the corral) gives a step of 0.
+            out = mu <= 0
+            steps = np.full(len(mu), np.inf)
+            steps[out] = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
+            j = int(steps.argmin())
+            lam = np.maximum(lam + steps[j] * (mu - lam), 0.0)
+            del corral[j]
+            P = np.delete(P, j, axis=0)
+            lam = np.delete(lam, j)
+        w = lam @ P
 
-        if it % SHRINK_EVERY == 0:
-            # Keep a row unless it is at 0 above hi or at C below lo.
-            keep = np.flatnonzero((g_up <= hi) | (g_low >= lo))
-            if len(keep) < m:
-                # Each block moves to rows below its own, so the rows that
-                # later blocks read are not yet overwritten.
-                for start in range(0, len(keep), _CHUNK):
-                    block = keep[start:start + _CHUNK]
-                    moved = slice(start, start + len(block))
-                    Z[moved] = Z[block]
-                    rows[moved] = rows[block]
-                    up_bar[moved] = up_bar[block]
-                    low_bar[moved] = low_bar[block]
-                m = len(keep)
-
-
-def _bars(alpha: np.ndarray, C: float, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """0 where a row can grow (can shrink), inf where it is at C (at 0)."""
-    return (np.where(alpha < C - bound, 0.0, np.inf),
-            np.where(alpha > bound, 0.0, np.inf))
+    alpha = np.zeros(n)
+    np.add.at(alpha, np.concatenate(corral), np.outer(lam, weights).ravel())
+    violation = (g.max(where=alpha > bound, initial=-np.inf)
+                 - g.min(where=alpha < C - bound, initial=np.inf))
+    if violation > TOL:
+        raise ConvergenceFailure(
+            f"KKT violation {violation:.3g} above {TOL} after {it} iterations")
+    return alpha, w, g, it

@@ -93,6 +93,10 @@ ERROR = "error"
 TRUE_POSITIVE = "true-positive"
 FALSE_POSITIVE = "false-positive"
 
+#: The fields `Verdict.to_record` writes.
+RECORD_FIELDS = ("package", "version", "models", "final", "clone", "reproduce", "digest",
+                 "error", "triage")
+
 
 @dataclass
 class Verdict:
@@ -135,9 +139,12 @@ class Verdict:
 
     @classmethod
     def from_record(cls, record: dict) -> "Verdict":
-        """The verdict `to_record` wrote; ValueError for an unknown model,
-        model output, reproduce status or triage, or a `final` that the
-        fusion rule does not give."""
+        """The verdict `to_record` wrote; ValueError for a field it never
+        writes, an unknown model, model output, reproduce status or triage,
+        or a `final` that the fusion rule does not give."""
+        for name in record:
+            if name not in RECORD_FIELDS:
+                raise ValueError(f"unknown field {name!r}")
         clone = record.get("clone")
         verdict = cls(
             package=record["package"],
@@ -752,7 +759,7 @@ class ScanReport:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
-                if "summary" not in record:
+                if record.keys() != {"summary"}:
                     verdicts.append(Verdict.from_record(record))
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc

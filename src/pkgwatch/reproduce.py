@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .artifact import MANIFEST_PATH, Manifest, PackageArtifact, load_tarball
-from .clones import canonical_digest, canonical_manifest_bytes
+from .artifact import Manifest, PackageArtifact, load_tarball
+from .clones import canonical_digest, canonical_file_sequence
 from .errors import PkgwatchError
 
 logger = logging.getLogger(__name__)
@@ -130,11 +130,8 @@ def compare_artifacts(
     Manifests compare in canonical form (name/version stripped), so the
     diff is empty exactly when the canonical digests agree.
     """
-    files_a = {e.path: e.content for e in a.files}
-    files_b = {e.path: e.content for e in b.files}
-    files_a[MANIFEST_PATH] = canonical_manifest_bytes(a)
-    files_b[MANIFEST_PATH] = canonical_manifest_bytes(b)
-
+    files_a = dict(canonical_file_sequence(a))
+    files_b = dict(canonical_file_sequence(b))
     diff = []
     for path in sorted(set(files_a) | set(files_b)):
         if path not in files_a:

@@ -180,7 +180,7 @@ def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, mon
     with pytest.raises(SystemExit) as exit_info:
         main(base_args(workspace) + ["retrain"])
     assert exit_info.value.code == 2
-    assert "error: no convergence after 1 coordinate steps" in capsys.readouterr().err
+    assert "error: no convergence after 1 iterations" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in models.iterdir()} == before
 
 
@@ -343,8 +343,10 @@ def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
      "unknown reproduce status 'bogus'"),
     ({"final": "flagged", "models": {"decision-tree": "malicious"}, "triage": "whatever"},
      "triage 'whatever' is not true-positive or false-positive"),
+    ({"final": "flagged", "models": {"decision-tree": "malicious"}, "summary": {}},
+     "unknown field 'summary'"),
 ], ids=["unknown-final", "hidden-flag", "unknown-model", "unknown-output",
-        "unknown-reproduce", "unknown-triage"])
+        "unknown-reproduce", "unknown-triage", "summary-key"])
 def test_report_of_a_record_the_fusion_rule_rejects_exits_2(workspace, capsys,
                                                              fields, reason):
     report = workspace["tmp"] / "r.jsonl"
