@@ -77,8 +77,11 @@ class LinearOneClassSvm:
             raise TooFewSamples("one-class SVM requires at least 2 rows")
         self.n_features_ = X.shape[1]
 
+        # A constant column whose values are not exactly representable has a
+        # std at rounding level, not 0: scaling by it would blow it up ~1e16.
         std = X.std(axis=0)
-        self.scale_ = np.where(std > 0, std, 1.0)
+        varies = std > n * np.finfo(float).eps * np.abs(X).max(axis=0)
+        self.scale_ = np.where(varies, std, 1.0)
 
         C = 1.0 / (self.nu * n)
         bound = C * 1e-9

@@ -45,16 +45,21 @@ def save_model(model: Any, path: str | Path, metadata: dict[str, Any] | None = N
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path, kind: str) -> Any:
+def load_model(path: str | Path, kind: str, metadata: dict[str, Any] | None = None) -> Any:
     """The `kind` model stored at `path`; ValueError for a file of another
-    kind or with arrays that do not fit its columns, SchemaMismatch for one
-    whose columns are not `kind`'s."""
+    kind, with arrays that do not fit its columns, or whose metadata does
+    not hold each item of `metadata`, SchemaMismatch for one whose columns
+    are not `kind`'s."""
     cls, schema = MODELS[kind]
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
     if doc.get("kind") != kind:
         raise ValueError(f"{path}: holds a {doc.get('kind')!r} model, not a {kind!r} one")
+    stored = doc.get("metadata") if isinstance(doc.get("metadata"), dict) else {}
+    for key, value in (metadata or {}).items():
+        if stored.get(key) != value:
+            raise ValueError(f"{path}: {key} is {stored.get(key)!r}, not {value!r}")
     body = doc["model"]
     if body.get("schema") != list(schema) or body.get("n_features") != len(schema):
         raise SchemaMismatch(f"{path}: columns do not match those a {kind} model reads")

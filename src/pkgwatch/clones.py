@@ -28,16 +28,18 @@ class ContentDigest:
     value: str  # hex
     algorithm: str
 
+    def __post_init__(self) -> None:
+        if not self.value:
+            raise ValueError(f"digest must look like 'algorithm:hex': {str(self)!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unsupported digest algorithm: {self.algorithm!r}")
+
     def __str__(self) -> str:
         return f"{self.algorithm}:{self.value}"
 
     @classmethod
     def parse(cls, text: str) -> "ContentDigest":
         algorithm, _, value = text.partition(":")
-        if not value:
-            raise ValueError(f"digest must look like 'algorithm:hex': {text!r}")
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unsupported digest algorithm: {algorithm!r}")
         return cls(value=value, algorithm=algorithm)
 
 
@@ -140,7 +142,10 @@ class MalwareHashSet:
         version: str,
         date_added: str | None = None,
     ) -> bool:
-        """Add a digest; returns False if it was already present."""
+        """Add a digest; returns False if it was already present.
+
+        ValueError, with nothing stored or appended, for an entry whose line
+        `_load` would not read back as these four fields."""
         with self._lock:
             if digest in self._entries:
                 return False
@@ -149,13 +154,15 @@ class MalwareHashSet:
                 version=version,
                 date_added=date_added or date.today().isoformat(),
             )
-            self._entries[digest] = provenance
-            self._algorithms |= {digest.algorithm}
+            fields = [str(digest), package, version, provenance.date_added]
+            line = "\t".join(fields)
+            if line.strip().splitlines() != [line] or line.split("\t") != fields:
+                raise ValueError(f"hash list entry would not read back: {line!r}")
             if self._path is not None:
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        f"{digest}\t{package}\t{version}\t{provenance.date_added}\n"
-                    )
+                    fh.write(line + "\n")
+            self._entries[digest] = provenance
+            self._algorithms |= {digest.algorithm}
             return True
 
     def lookup(self, digest: ContentDigest) -> CloneProvenance | None:

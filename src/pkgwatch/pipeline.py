@@ -95,7 +95,7 @@ FALSE_POSITIVE = "false-positive"
 
 #: The fields `Verdict.to_record` writes.
 RECORD_FIELDS = ("package", "version", "models", "final", "clone", "reproduce", "digest",
-                 "error", "triage")
+                 "error")
 
 
 @dataclass
@@ -108,7 +108,6 @@ class Verdict:
     final: str = CLEAN
     digest: str | None = None
     error: str | None = None
-    triage: str | None = None
 
     @property
     def model_flagged(self) -> bool:
@@ -133,15 +132,13 @@ class Verdict:
             record["digest"] = self.digest
         if self.error is not None:
             record["error"] = self.error
-        if self.triage is not None:
-            record["triage"] = self.triage
         return record
 
     @classmethod
     def from_record(cls, record: dict) -> "Verdict":
         """The verdict `to_record` wrote; ValueError for a field it never
-        writes, an unknown model, model output, reproduce status or triage,
-        or a `final` that the fusion rule does not give."""
+        writes, an unknown model, model output or reproduce status, or a
+        `final` that the fusion rule does not give."""
         for name in record:
             if name not in RECORD_FIELDS:
                 raise ValueError(f"unknown field {name!r}")
@@ -155,7 +152,6 @@ class Verdict:
             final=record["final"],
             digest=record.get("digest"),
             error=record.get("error"),
-            triage=record.get("triage"),
         )
         for model_id, flag in verdict.model_flags.items():
             if model_id not in MODEL_IDS:
@@ -164,8 +160,6 @@ class Verdict:
                 raise ValueError(f"model {model_id} output {flag!r} is not malicious or benign")
         if verdict.reproduce_status not in (None, *STATUSES):
             raise ValueError(f"unknown reproduce status {verdict.reproduce_status!r}")
-        if verdict.triage not in (None, TRUE_POSITIVE, FALSE_POSITIVE):
-            raise ValueError(f"triage {verdict.triage!r} is not true-positive or false-positive")
         if verdict.final not in (FLAGGED, AUTO_CLEARED, CLEAN, ERROR):
             raise ValueError(f"unknown final status {verdict.final!r}")
         expected = derive_final(verdict.model_flags, verdict.clone_match,
@@ -282,39 +276,30 @@ class CorpusStore:
             index = self._index.get(key)
             if index is None:
                 index = len(self._keys)
-                self._insert(key, row, label, event.get("digest"))
-                return index
-            if self._labels[index] is None and label is not None:
-                self._rows[index] = row
+                if index == len(self._rows):
+                    grown = np.empty((max(64, 2 * index), self._rows.shape[1]))
+                    grown[:index] = self._rows
+                    self._rows = grown
+                self._index[key] = index
+                self._keys.append(key)
+                self._labels.append(label)
+                self._digests.append(event.get("digest"))
+            elif self._labels[index] is None and label is not None:
                 self._labels[index] = label
-                self._training_sets.clear()
-                return index
-        elif kind == "label":
+            else:
+                return None
+            self._rows[index] = row
+            self._training_sets.clear()
+            return index
+        if kind == "label":
             label = check_label(event["label"])
             index = self._index.get((event["package"], event["version"]))
             if index is not None:
-                self._relabel(index, label, event.get("date"))
+                self._labels[index] = label
+                self._label_dates[index] = event.get("date")
+                self._histories.setdefault(index, []).append(label)
+                self._training_sets.clear()
         return None
-
-    def _insert(self, key: tuple[str, str], row: list[float], label: str | None,
-                digest: str | None) -> None:
-        index = len(self._keys)
-        if index == len(self._rows):
-            grown = np.empty((max(64, 2 * index), self._rows.shape[1]))
-            grown[:index] = self._rows
-            self._rows = grown
-        self._rows[index] = row
-        self._index[key] = index
-        self._keys.append(key)
-        self._labels.append(label)
-        self._digests.append(digest)
-        self._training_sets.clear()
-
-    def _relabel(self, index: int, label: str | None, date: str | None) -> None:
-        self._labels[index] = label
-        self._label_dates[index] = date
-        self._histories.setdefault(index, []).append(label)
-        self._training_sets.clear()
 
     def _stored(self, index: int) -> StoredVector:
         package, version = self._keys[index]
@@ -325,12 +310,15 @@ class CorpusStore:
             label_history=list(self._histories.get(index, ())),
         )
 
-    def _append(self, event: dict) -> None:
+    def _write(self, event: dict) -> None:
+        """Append `event` to the log, then fold it into the view as `_load`
+        does; a failed append leaves the view unchanged."""
         new_file = not self.path.exists()
         with open(self.path, "a", encoding="utf-8") as fh:
             if new_file:
                 fh.write(json.dumps({"format": CORPUS_FORMAT}) + "\n")
             fh.write(json.dumps(event, sort_keys=True) + "\n")
+        self._apply(event)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -350,12 +338,9 @@ class CorpusStore:
     def add_vector(self, vector: ChangeVector, digest: str | None = None) -> bool:
         """Record a vector; existing (package, version) entries are kept."""
         with self._lock:
-            key = (vector.package, vector.version)
-            if key in self._index:
+            if (vector.package, vector.version) in self._index:
                 return False
-            record = vector.to_record()
-            self._insert(key, encode_record(record), vector.label, digest)
-            self._append({"event": "vector", "vector": record, "digest": digest})
+            self._write({"event": "vector", "vector": vector.to_record(), "digest": digest})
             return True
 
     def set_label(self, package: str, version: str, label: str) -> StoredVector:
@@ -370,15 +355,13 @@ class CorpusStore:
                 logger.warning(
                     "relabeling %s@%s: %s -> %s", package, version, previous, label,
                 )
-            date = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            self._append({
+            self._write({
                 "event": "label",
                 "package": package,
                 "version": version,
                 "label": label,
-                "date": date,
+                "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             })
-            self._relabel(index, label, date)
             return self._stored(index)
 
     def _training(self, include_unlabeled: bool) -> tuple[np.ndarray, LabeledDataset]:
@@ -424,18 +407,21 @@ class CorpusStore:
 
 
 class ModelStore:
-    """Directory of model files plus a version-tracking manifest."""
+    """Directory of model files plus a manifest naming the generation that loads."""
 
     MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
+    def _manifest(self) -> dict:
+        return json.loads((self.directory / self.MANIFEST).read_text(encoding="utf-8"))
+
     def version(self) -> int:
-        manifest = self.directory / self.MANIFEST
-        if not manifest.exists():
+        try:
+            return self._manifest()["version"]
+        except FileNotFoundError:
             return 0
-        return json.loads(manifest.read_text())["version"]
 
     def save(self, models: dict[str, object], corpus_hash: str) -> int:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -455,14 +441,20 @@ class ModelStore:
         return new_version
 
     def load(self) -> dict[str, object]:
-        models = {}
-        for model_id in MODEL_IDS:
-            path = self.directory / f"{model_id}.json"
-            if path.exists():
-                models[model_id] = load_model(path, model_id)
-        if not models:
-            raise FileNotFoundError(f"no models under {self.directory}")
-        return models
+        """The models the manifest lists, in MODEL_IDS order.
+
+        FileNotFoundError without a manifest; ValueError for a `models`
+        entry that is not a non-empty list of model ids, and for a listed
+        file that `save` did not write with this manifest."""
+        manifest = self._manifest()
+        listed = manifest.get("models")
+        if not isinstance(listed, list) or not listed or any(m not in MODEL_IDS for m in listed):
+            raise ValueError(f"{self.directory / self.MANIFEST}: models must be a "
+                             f"non-empty list of {', '.join(MODEL_IDS)}, got {listed!r}")
+        generation = {"model_version": manifest["version"],
+                      "corpus_hash": manifest["corpus_hash"]}
+        return {model_id: load_model(self.directory / f"{model_id}.json", model_id, generation)
+                for model_id in MODEL_IDS if model_id in listed}
 
 
 # --- scanning ---
@@ -684,14 +676,13 @@ def label(
     if triage not in (TRUE_POSITIVE, FALSE_POSITIVE):
         raise ValueError(f"triage must be true-positive/false-positive: {triage!r}")
     as_label = MALICIOUS if triage == TRUE_POSITIVE else BENIGN
-    # Parsed before the label is appended, so that a stored digest the hash
-    # set cannot take leaves the corpus unchanged.
+    # Registered before the label is appended, so that an entry the hash set
+    # refuses leaves both stores unchanged.
     stored = corpus.digest(package, version) if triage == TRUE_POSITIVE else None
-    digest = ContentDigest.parse(stored) if stored else None
+    if stored:
+        hash_set.register(ContentDigest.parse(stored), package, version)
     entry = corpus.set_label(package, version, as_label)
-    if digest is not None:
-        hash_set.register(digest, package, version)
-    elif triage == TRUE_POSITIVE:
+    if triage == TRUE_POSITIVE and not stored:
         logger.warning(
             "no stored digest for %s@%s; clone hash not registered", package, version,
         )

@@ -14,6 +14,7 @@ mean/std and time are omitted because they are not Boolean-representable.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class ChangeVector:
     def __post_init__(self) -> None:
         if len(self.deltas) != len(FEATURE_FIELDS):
             raise ValueError("deltas must have one value per feature field")
+        if not all(map(math.isfinite, (*self.deltas, self.time_since_prev))):
+            raise ValueError("deltas and time_since_prev must be finite numbers")
         if self.time_since_prev < 0:
             raise ValueError("time_since_prev must be >= 0")
         check_label(self.label)
@@ -145,7 +148,9 @@ _ONE_HOT = {t.value: list(_one_hot(t)) for t in UPDATE_TYPE_ORDER}
 
 def encode_record(record: dict) -> list[float]:
     """`encode` of the vector a `ChangeVector.to_record` record holds,
-    checked as `ChangeVector.from_record` checks it, without building it."""
+    checked as `ChangeVector.from_record` checks it, without building it,
+    except that non-finite values pass: `CorpusStore` checks its rows for
+    them in one batch."""
     row = list(map(float, _deltas_of(record["deltas"])))
     elapsed = float(record["time_since_prev"])
     if elapsed < 0:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,18 @@ def test_retrain_bumps_model_version(runner, workspace):
     assert ModelStore(workspace["models"]).version() == 2
 
 
+def test_scan_with_a_model_file_of_another_generation_exits_2(workspace, capsys):
+    models = Path(workspace["models"])
+    tree = models / "decision-tree.json"
+    version_1 = tree.read_bytes()
+    main(base_args(workspace) + ["retrain"])
+    tree.write_bytes(version_1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["scan", "plain@1.0.1", "--no-record", "--no-reproduce"])
+    assert exit_info.value.code == 2
+    assert f"error: {tree}: model_version is 1, not 2" in capsys.readouterr().err
+
+
 def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, monkeypatch,
                                                                   capsys):
     models = Path(workspace["models"])
@@ -235,6 +248,23 @@ def test_hashes_export_import(runner, workspace, tmp_path):
     result = runner.invoke(cli, args + ["hashes", "import", str(exported)])
     assert result.exit_code == 0
     assert "imported 1 new digests" in result.output
+
+
+def test_label_of_a_version_holding_a_tab_exits_2_and_changes_no_store(workspace, capsys):
+    # A hostile registry can publish such a version; its hash list line
+    # would read back as five fields.
+    corpus, hashes = Path(workspace["corpus"]), Path(workspace["hashes"])
+    version = "1.0.0\tplanted"
+    vector = build_training_vectors(1, 0, seed=3)[0]
+    CorpusStore(corpus).add_vector(replace(vector, version=version, label=None),
+                                   digest="md5:" + "ab" * 16)
+    before = corpus.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["label", vector.package, version, "true-positive"])
+    assert exit_info.value.code == 2
+    assert "hash list entry would not read back" in capsys.readouterr().err
+    assert corpus.read_bytes() == before
+    assert not hashes.exists()
 
 
 def test_hashes_import_rejects_a_malformed_list(workspace, tmp_path, capsys):
@@ -342,7 +372,7 @@ def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
     ({"final": "flagged", "models": {"decision-tree": "malicious"}, "reproduce": "bogus"},
      "unknown reproduce status 'bogus'"),
     ({"final": "flagged", "models": {"decision-tree": "malicious"}, "triage": "whatever"},
-     "triage 'whatever' is not true-positive or false-positive"),
+     "unknown field 'triage'"),
     ({"final": "flagged", "models": {"decision-tree": "malicious"}, "summary": {}},
      "unknown field 'summary'"),
 ], ids=["unknown-final", "hidden-flag", "unknown-model", "unknown-output",

@@ -69,6 +69,32 @@ def test_digest_parse_rejects_unknown_algorithm_and_empty_value(text, reason):
         ContentDigest.parse(text)
 
 
+def test_digest_built_directly_is_checked_as_parse_checks_it():
+    with pytest.raises(ValueError, match="digest must look like 'algorithm:hex'"):
+        ContentDigest("", "md5")
+    with pytest.raises(ValueError, match="unsupported digest algorithm: 'sha256'"):
+        ContentDigest("00ff", "sha256")
+
+
+@pytest.mark.parametrize("package, version, date_added", [
+    ("x", "1.0.0\t2021-01-01\nmd5:" + "cd" * 16 + "\tvictim\t2.0.0", "2021-08-01"),
+    ("x\ty", "1.0.0", "2021-08-01"),
+    ("x", "1.0.0\r", "2021-08-01"),
+    ("x", "1.0.0", "2021-08-01 "),
+], ids=["planted-entry", "tab-in-name", "carriage-return", "trailing-space"])
+def test_register_refuses_an_entry_that_would_not_read_back(tmp_path, package, version,
+                                                            date_added):
+    path = tmp_path / "hashes.txt"
+    hash_set = MalwareHashSet(path)
+    digest = ContentDigest("ab" * 16, "md5")
+    with pytest.raises(ValueError, match="hash list entry would not read back"):
+        hash_set.register(digest, package, version, date_added)
+    assert len(hash_set) == 0 and hash_set.algorithms() == set()
+    assert not path.exists() or path.read_text() == ""
+    assert hash_set.register(digest, "x", "1.0.0", "2021-08-01")
+    assert MalwareHashSet(path).entries() == hash_set.entries()
+
+
 @pytest.mark.parametrize("line, reason", [
     ("sha256:00ff\tp\t1.0.0\t2021-08-01", "unsupported digest algorithm: 'sha256'"),
     ("md5:\tp\t1.0.0\t2021-08-01", "digest must look like 'algorithm:hex'"),

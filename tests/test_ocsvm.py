@@ -94,6 +94,25 @@ def test_standardization_handles_constant_columns():
     assert np.isfinite(model.decision_function(X)).all()
 
 
+@pytest.mark.parametrize("copies", [100, 90_000])
+@pytest.mark.parametrize("nu", [0.05, 0.001])
+def test_columns_constant_up_to_rounding_are_not_scaled(copies, nu):
+    # The std of each of these constant columns comes out at rounding level,
+    # not 0. Scaling by it gave |coef_| near 1e15, rho_ near 1e30, and a
+    # decision of +-1e9 or more one ulp away from the training row.
+    row = np.array([0.1, 2.3, 0.7, 1234.5678, 5.9])
+    X = np.tile(row, (copies, 1))
+    assert (X.std(axis=0) > 0).all()
+    model = LinearOneClassSvm(nu=nu).fit(X)
+    assert (model.scale_ == 1.0).all()
+    assert np.abs(model.coef_).max() < 1e4 and 0 < model.rho_ < 1e7
+    # Every row lies on the margin, so these score 0 up to rounding.
+    probes = np.vstack([row, np.nextafter(row, 0), np.nextafter(row, np.inf)])
+    assert np.abs(model.decision_function(probes)).max() <= 1e-12 * model.rho_
+    if copies == 100:
+        assert model.predict(X[:1])[0] == B
+
+
 def test_boundary_value_stays_benign():
     rng = np.random.default_rng(6)
     X = _cluster(rng, n=50, d=2)

@@ -4,12 +4,15 @@ import multiprocessing
 import os
 import re
 import sys
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PACK, make_manifest, make_tgz, raw_tgz
 from oracles import ReferenceCorpus
@@ -615,6 +618,73 @@ def test_corpus_store_matches_object_per_row_fold(tmp_path, seed):
             entry["vector"], entry["digest"], entry["date"], entry["history"])
 
 
+def corpus_view(store, keys):
+    """What a CorpusStore holding only `keys` serves: its keys, rows
+    (bytes), labels, digests, label dates and histories, and both corpus
+    hashes."""
+    keys = sorted(key for key in keys if key in store)
+    assert len(store) == len(keys)
+    entries = [store.get(*key) for key in keys]
+    return (keys, store.training_set(include_unlabeled=True).rows.tobytes(),
+            [e.vector.label for e in entries], [e.digest for e in entries],
+            [e.label_date for e in entries], [e.label_history for e in entries],
+            [store.corpus_hash(False), store.corpus_hash(True)])
+
+
+def reference_view(oracle):
+    """`corpus_view` of a ReferenceCorpus, its hashes by their definition."""
+    keys = sorted(oracle.entries)
+    entries = [oracle.entries[key] for key in keys]
+    hashes = []
+    for include_unlabeled in (False, True):
+        vectors = oracle.training_vectors(include_unlabeled)
+        hashes.append(hashlib.sha256(
+            b"pkgwatch-corpus-hash/2\n"
+            + json.dumps([[v.package, v.version] for v in vectors],
+                         separators=(",", ":")).encode()
+            + bytes(v.label == MALICIOUS for v in vectors)
+            + LabeledDataset.from_vectors(vectors).rows.astype("<f8").tobytes()
+        ).hexdigest())
+    return (keys, LabeledDataset.from_vectors(oracle.training_vectors(True)).rows.tobytes(),
+            [e["vector"].label for e in entries], [e["digest"] for e in entries],
+            [e["date"] for e in entries], [e["history"] for e in entries], hashes)
+
+
+KEYS = [("a", "1.0.0"), ("a", "1.0.1"), ("b", "2.0.0")]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+corpus_writes = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(KEYS), st.tuples(*[finite] * 10),
+              st.sampled_from(list(UpdateType)), finite.map(abs),
+              st.sampled_from([None, MALICIOUS, BENIGN]),
+              st.sampled_from([None, "md5:" + "0" * 32, "blake2b-128:" + "f" * 32])),
+    st.tuples(st.just("label"), st.sampled_from(KEYS), st.sampled_from([MALICIOUS, BENIGN])),
+), max_size=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corpus_writes)
+def test_live_writes_fold_like_a_load(writes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        store = CorpusStore(path)
+        for op, key, *args in writes:
+            known = key in store
+            if op == "add":
+                deltas, update_type, elapsed, vector_label, digest = args
+                vector = ChangeVector(*key, deltas, update_type, elapsed, vector_label)
+                assert store.add_vector(vector, digest) is not known
+            elif known:
+                assert store.set_label(*key, args[0]) == store.get(*key)
+            else:
+                with pytest.raises(UnknownVersion):
+                    store.set_label(*key, args[0])
+        if not writes or not path.exists():
+            return
+        expected = corpus_view(store, KEYS)
+        assert corpus_view(CorpusStore(path), KEYS) == expected
+        assert reference_view(ReferenceCorpus(path)) == expected
+
+
 VALID_RECORD = first_vector().to_record()
 
 
@@ -657,6 +727,22 @@ def test_corpus_load_rejects_a_value_that_is_not_finite(tmp_path, field, text, s
     with pytest.raises(ValueError, match=re.escape(
             f"{path}:3: {field} is not a finite number: {shown}")):
         CorpusStore(path)
+
+
+@pytest.mark.parametrize("field", ["entropy_std", "time_since_prev"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_vector_that_is_not_finite_never_reaches_the_log(tmp_path, field, value):
+    path = tmp_path / "c.jsonl"
+    store = CorpusStore(path)
+    store.add_vector(first_vector())
+    record = first_vector(package="q").to_record()
+    if field == "time_since_prev":
+        record[field] = value
+    else:
+        record["deltas"][field] = value
+    with pytest.raises(ValueError, match="deltas and time_since_prev must be finite numbers"):
+        store.add_vector(ChangeVector.from_record(record))
+    assert len(CorpusStore(path)) == len(store) == 1
 
 
 def test_corpus_load_ignores_a_value_the_fold_discards(tmp_path):
@@ -804,6 +890,58 @@ def test_model_store_versioning(tmp_path):
     assert set(loaded) == set(corpus_like_models)
 
 
+def test_model_store_loads_only_the_manifests_models(tmp_path):
+    # A retrain with no malicious rows skips the tree and NB; their files of
+    # version 1 stay on disk, and must not load beside the version-2 SVM.
+    models, _ = retrain_fixture(tmp_path)
+    store = ModelStore(tmp_path / "models")
+    store.save(models, corpus_hash="abc")
+    store.save({MODEL_SVM: models[MODEL_SVM]}, corpus_hash="def")
+    assert (store.directory / f"{MODEL_TREE}.json").exists()
+    assert list(store.load()) == [MODEL_SVM]
+    store.save(models, corpus_hash="ghi")
+    assert list(store.load()) == list(MODEL_IDS)
+
+
+def test_model_store_without_a_manifest_loads_nothing(tmp_path):
+    models, _ = retrain_fixture(tmp_path)
+    store = ModelStore(tmp_path / "models")
+    store.save(models, corpus_hash="abc")
+    (store.directory / ModelStore.MANIFEST).unlink()
+    with pytest.raises(FileNotFoundError):
+        store.load()
+
+
+@pytest.mark.parametrize("listed", [[], MODEL_SVM, [MODEL_SVM, "random-forest"], None],
+                         ids=["empty", "not-a-list", "unknown-id", "null"])
+def test_model_store_rejects_a_manifest_models_entry(tmp_path, listed):
+    models, _ = retrain_fixture(tmp_path)
+    store = ModelStore(tmp_path / "models")
+    store.save(models, corpus_hash="abc")
+    path = store.directory / ModelStore.MANIFEST
+    manifest = json.loads(path.read_text())
+    manifest["models"] = listed
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: models must be a non-empty list")):
+        store.load()
+
+
+@pytest.mark.parametrize("saves, reason", [
+    (["abc", "abc"], "model_version is 1, not 2"),
+    (["def"], "corpus_hash is 'abc', not 'def'"),
+], ids=["older-version", "other-corpus"])
+def test_model_store_rejects_a_file_of_another_generation(tmp_path, saves, reason):
+    models, _ = retrain_fixture(tmp_path)
+    old, new = ModelStore(tmp_path / "old"), ModelStore(tmp_path / "new")
+    old.save(models, corpus_hash="abc")
+    for corpus_hash in saves:
+        new.save(models, corpus_hash=corpus_hash)
+    path = new.directory / f"{MODEL_NB}.json"
+    path.write_bytes((old.directory / f"{MODEL_NB}.json").read_bytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+        new.load()
+
+
 def retrain_fixture(tmp_path):
     corpus = CorpusStore(tmp_path / "seed.jsonl")
     for i in range(3):
@@ -843,14 +981,12 @@ def test_report_summary_and_round_trip(tmp_path):
            [v.to_record() for v in verdicts]
 
 
-def test_report_reads_back_every_reproduce_status_and_triage(tmp_path):
+def test_report_reads_back_every_reproduce_status(tmp_path):
     flags = {MODEL_TREE: M}
     verdicts = [
         Verdict(package=f"p{k}", version="1", model_flags=flags, reproduce_status=status,
-                triage=triage, final=derive_final(flags, None, status))
-        for k, (status, triage) in enumerate(
-            (status, triage) for status in STATUSES
-            for triage in (None, "true-positive", "false-positive"))
+                final=derive_final(flags, None, status))
+        for k, status in enumerate(STATUSES)
     ]
     path = tmp_path / "report.jsonl"
     ScanReport(verdicts).write(path)
