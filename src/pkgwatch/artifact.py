@@ -12,7 +12,7 @@ import io
 import json
 import logging
 import tarfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import CorruptArchive, ManifestParseError, MissingManifest
@@ -42,7 +42,6 @@ class Manifest:
     scripts: dict[str, str]
     repository_url: str | None
     repository_commit: str | None
-    dependencies: dict[str, str]
     raw: dict[str, Any]
 
 
@@ -54,7 +53,6 @@ class PackageArtifact:
     version: str
     files: tuple[FileEntry, ...]
     manifest: Manifest
-    warnings: tuple[str, ...] = field(default=())
 
     def file_map(self) -> dict[str, bytes]:
         return {f.path: f.content for f in self.files}
@@ -97,11 +95,6 @@ def _parse_manifest(content: bytes) -> Manifest:
         for k, v in (doc.get("scripts") or {}).items()
         if isinstance(k, str) and isinstance(v, str)
     } if isinstance(doc.get("scripts"), dict) else {}
-    deps = {
-        k: v
-        for k, v in (doc.get("dependencies") or {}).items()
-        if isinstance(k, str) and isinstance(v, str)
-    } if isinstance(doc.get("dependencies"), dict) else {}
     commit = doc.get("gitHead")
 
     return Manifest(
@@ -110,7 +103,6 @@ def _parse_manifest(content: bytes) -> Manifest:
         scripts=scripts,
         repository_url=_parse_repository(doc),
         repository_commit=commit if isinstance(commit, str) and commit else None,
-        dependencies=deps,
         raw=doc,
     )
 
@@ -127,67 +119,50 @@ def load_tarball(data: bytes) -> PackageArtifact:
         MissingManifest: no package.json at the package root.
         ManifestParseError: package.json is not well-formed JSON.
     """
-    entries: dict[str, bytes] = {}
-    raw_paths: list[str] = []
+    members: list[tuple[str, bytes]] = []  # (entry name, content), archive order
     try:
         with tarfile.open(fileobj=io.BytesIO(data), mode="r:gz") as tar:
             for member in tar:
                 if member.issym() or member.islnk():
-                    raise CorruptArchive(
-                        f"archive contains a link entry: {member.name!r}"
-                    )
+                    raise CorruptArchive(f"archive contains a link entry: {member.name!r}")
                 if not member.isreg():
                     continue
                 handle = tar.extractfile(member)
                 if handle is None:
                     continue
-                content = handle.read()
-                raw_paths.append(member.name)
-                entries[member.name] = content
+                members.append((member.name, handle.read()))
     except CorruptArchive:
         raise
     except (tarfile.TarError, gzip.BadGzipFile, EOFError, OSError) as exc:
         raise CorruptArchive(f"not a readable gzip/tar stream: {exc}") from exc
 
-    if not entries:
+    if not members:
         raise MissingManifest("archive contains no regular files")
 
+    paths = [_normalize_path(name) for name, _ in members]
     # Publishers conventionally nest everything under package/; deviants get
     # their first entry's leading component treated as the prefix.
-    first_component = _normalize_path(raw_paths[0]).split("/", 1)[0]
-    prefix = "package" if any(
-        _normalize_path(p).split("/", 1)[0] == "package" for p in raw_paths
-    ) else first_component
+    heads = [path.split("/", 1)[0] for path in paths]
+    prefix = "package" if "package" in heads else heads[0]
 
     normalized: dict[str, bytes] = {}
-    for raw_path in raw_paths:  # preserve archive order so later entries win
-        path = _normalize_path(raw_path)
+    for path, (_, content) in zip(paths, members):  # archive order: later entries win
         parts = path.split("/")
         if len(parts) > 1 and parts[0] == prefix:
             path = "/".join(parts[1:])
-        if not path:
-            continue
-        normalized[path] = entries[raw_path]
+        if path:
+            normalized[path] = content
 
     if MANIFEST_PATH not in normalized:
         raise MissingManifest("no root package.json in archive")
 
     manifest = _parse_manifest(normalized[MANIFEST_PATH])
-    warnings: list[str] = []
     if not manifest.name or not manifest.version:
-        warnings.append("manifest is missing name or version")
         logger.warning("manifest missing name/version")
 
-    files = tuple(
-        FileEntry(path=p, content=normalized[p]) for p in sorted(normalized)
-    )
-    return PackageArtifact(
-        name=manifest.name,
-        version=manifest.version,
-        files=files,
-        manifest=manifest,
-        warnings=tuple(warnings),
-    )
+    files = tuple(FileEntry(path=p, content=normalized[p]) for p in sorted(normalized))
+    return PackageArtifact(name=manifest.name, version=manifest.version, files=files,
+                           manifest=manifest)
 
 
 def source_files(

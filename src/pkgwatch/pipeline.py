@@ -199,8 +199,6 @@ class StoredVector:
 
     vector: ChangeVector
     digest: str | None = None
-    label_date: str | None = None
-    label_history: list[str] = field(default_factory=list)
 
 
 class CorpusStore:
@@ -208,14 +206,14 @@ class CorpusStore:
 
     Every mutation appends a line; the in-memory view folds the log with
     latest-label-wins semantics, so relabels are audit-visible rather than
-    silent overwrites. Keys are (package, version), unique: the first
+    silent overwrites: each label's date and the label history of a key
+    are in the log alone. Keys are (package, version), unique: the first
     vector of a key is kept, unless it is unlabeled and a later vector of
     the key is labeled.
 
     The folded view is columnar: a key -> row index dict, one float64
-    matrix of rows in NUMERIC_SCHEMA order (grown by doubling), parallel
-    label and digest lists, and label dates and histories for the rows
-    that were labeled by an event. `get` and `set_label` build their
+    matrix of rows in NUMERIC_SCHEMA order (grown by doubling), and
+    parallel label and digest lists. `get` and `set_label` build their
     `StoredVector`s from these on demand.
     """
 
@@ -226,8 +224,6 @@ class CorpusStore:
         self._rows = np.empty((0, len(NUMERIC_SCHEMA)))
         self._labels: list[str | None] = []
         self._digests: list[str | None] = []
-        self._label_dates: dict[int, str | None] = {}
-        self._histories: dict[int, list[str]] = {}
         self._training_sets: dict[bool, tuple[np.ndarray, LabeledDataset]] = {}
         self._lock = threading.Lock()
         if self.path.exists():
@@ -296,8 +292,6 @@ class CorpusStore:
             index = self._index.get((event["package"], event["version"]))
             if index is not None:
                 self._labels[index] = label
-                self._label_dates[index] = event.get("date")
-                self._histories.setdefault(index, []).append(label)
                 self._training_sets.clear()
         return None
 
@@ -306,8 +300,6 @@ class CorpusStore:
         return StoredVector(
             vector=decode(self._rows[index].tolist(), package, version, self._labels[index]),
             digest=self._digests[index],
-            label_date=self._label_dates.get(index),
-            label_history=list(self._histories.get(index, ())),
         )
 
     def _write(self, event: dict) -> None:
@@ -415,7 +407,22 @@ class ModelStore:
         self.directory = Path(directory)
 
     def _manifest(self) -> dict:
-        return json.loads((self.directory / self.MANIFEST).read_text(encoding="utf-8"))
+        """The manifest; FileNotFoundError without one, and ValueError
+        ``<dir>/manifest.json: <reason>`` for one without a positive int
+        `version` and a str `corpus_hash`."""
+        path = self.directory / self.MANIFEST
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+            version, corpus_hash = manifest.get("version"), manifest.get("corpus_hash")
+            if type(version) is not int or version < 1:
+                raise ValueError(f"version must be a positive integer, got {version!r}")
+            if not isinstance(corpus_hash, str):
+                raise ValueError(f"corpus_hash must be a string, got {corpus_hash!r}")
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        return manifest
 
     def version(self) -> int:
         try:
@@ -424,8 +431,8 @@ class ModelStore:
             return 0
 
     def save(self, models: dict[str, object], corpus_hash: str) -> int:
-        self.directory.mkdir(parents=True, exist_ok=True)
         new_version = self.version() + 1
+        self.directory.mkdir(parents=True, exist_ok=True)
         metadata = {"corpus_hash": corpus_hash, "model_version": new_version}
         for model_id, model in models.items():
             save_model(model, self.directory / f"{model_id}.json", metadata)
@@ -443,9 +450,10 @@ class ModelStore:
     def load(self) -> dict[str, object]:
         """The models the manifest lists, in MODEL_IDS order.
 
-        FileNotFoundError without a manifest; ValueError for a `models`
-        entry that is not a non-empty list of model ids, and for a listed
-        file that `save` did not write with this manifest."""
+        FileNotFoundError without a manifest; ValueError for a manifest
+        `_manifest` rejects, a `models` entry that is not a non-empty list
+        of model ids, and a listed file that `save` did not write with this
+        manifest."""
         manifest = self._manifest()
         listed = manifest.get("models")
         if not isinstance(listed, list) or not listed or any(m not in MODEL_IDS for m in listed):

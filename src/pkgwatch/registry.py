@@ -22,7 +22,7 @@ import os
 import tempfile
 import time as _time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import IntegrityMismatch, MalformedDocument, NotFound, TransportError
@@ -34,22 +34,21 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class PackageDocument:
     name: str
-    versions: tuple[str, ...]
     time: dict[str, float]  # version -> UTC seconds
     dist: dict[str, dict]
-    warnings: tuple[str, ...] = field(default=())
 
     def timeline(self) -> VersionTimeline:
         return VersionTimeline.from_entries(self.name, list(self.time.items()))
 
 
 def _parse_document(name: str, doc: dict) -> PackageDocument:
+    """The document's publish times and dist entries; an unparseable
+    timestamp, or a version the time map lacks, is logged and left out."""
     if not isinstance(doc, dict) or not isinstance(doc.get("versions"), dict):
         raise MalformedDocument(f"registry document for {name!r} lacks versions")
     stamps = doc.get("time") or {}
     if not isinstance(stamps, dict):
         raise MalformedDocument(f"registry document for {name!r} has a non-object time map")
-    warnings: list[str] = []
     time_map: dict[str, float] = {}
     for version, stamp in stamps.items():
         if version in ("created", "modified"):
@@ -57,27 +56,17 @@ def _parse_document(name: str, doc: dict) -> PackageDocument:
         try:
             time_map[version] = parse_iso8601(stamp)
         except (ValueError, TypeError):
-            warnings.append(f"unparseable timestamp for {version}: {stamp!r}")
-
-    versions = tuple(doc["versions"].keys())
-    for version in versions:
+            logger.warning("%s: unparseable timestamp for %s: %r", name, version, stamp)
+    for version in doc["versions"]:
         if version not in time_map:
-            warnings.append(f"version {version} missing from time map")
+            logger.warning("%s: version %s missing from time map", name, version)
 
     dist = {
         version: excerpt["dist"]
         for version, excerpt in doc["versions"].items()
         if isinstance(excerpt, dict) and isinstance(excerpt.get("dist"), dict)
     }
-    for message in warnings:
-        logger.warning("%s: %s", name, message)
-    return PackageDocument(
-        name=doc.get("name", name),
-        versions=versions,
-        time=time_map,
-        dist=dist,
-        warnings=tuple(warnings),
-    )
+    return PackageDocument(name=doc.get("name", name), time=time_map, dist=dist)
 
 
 def verify_integrity(data: bytes, dist: dict | None, context: str) -> None:

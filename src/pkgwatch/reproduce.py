@@ -1,6 +1,6 @@
 """Rebuild flagged packages from their declared source repository.
 
-A successful rebuild whose canonical digest matches the registry artifact
+A successful rebuild whose canonical file set matches the registry artifact's
 downgrades a classifier flag; every other outcome leaves the flag alone.
 The build runs in a throwaway working directory with a scrubbed
 environment, and command lines plus the tail of their output are logged
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifact import Manifest, PackageArtifact, load_tarball
-from .clones import canonical_digest, canonical_file_sequence
+from .clones import canonical_file_sequence
 from .errors import PkgwatchError
 
 logger = logging.getLogger(__name__)
@@ -53,6 +53,29 @@ class ReproducerConfig:
     pack_output: str = "*.tgz"
     build_scripts: tuple[str, ...] = ("prepare", "prepack", "build")
     timeout: float = 300.0
+
+    def __post_init__(self) -> None:
+        """ValueError ``<field> must be <what>, got <value>`` for a field no
+        rebuild can use; a list of build scripts becomes a tuple."""
+        for name, value in vars(self).items():
+            if name == "build_scripts":
+                expected = "a list of strings"
+                valid = isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
+            elif name == "timeout":
+                expected = "a positive number"
+                valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                         and 0 < value < float("inf"))
+            elif name == "script_command":
+                expected = "a string that formats with {script} alone"
+                try:  # as make_plan formats it
+                    valid = isinstance(value.format(script="x"), str)
+                except (AttributeError, LookupError, TypeError, ValueError):
+                    valid = False
+            else:
+                expected, valid = "a string", isinstance(value, str)
+            if not valid:
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+        object.__setattr__(self, "build_scripts", tuple(self.build_scripts))
 
 
 @dataclass(frozen=True)
@@ -205,8 +228,8 @@ def reproduce(
 ) -> ReproduceResult:
     """Clone, check out the first resolvable ref, build, pack, and compare.
 
-    Failures surface as statuses, never exceptions; only a canonical
-    digest match yields REPRODUCED.
+    Failures surface as statuses, never exceptions; only a rebuild whose
+    canonical file set equals the original's yields REPRODUCED.
     """
     logs: list[str] = []
     sandbox = Path(tempfile.mkdtemp(prefix="pkgwatch-rebuild-"))
@@ -240,12 +263,7 @@ def reproduce(
             logs.append(f"! pack output unreadable: {exc}")
             return ReproduceResult(status=BUILD_FAILED, logs=logs)
 
-        if canonical_digest(rebuilt) == canonical_digest(original):
-            return ReproduceResult(status=REPRODUCED, logs=logs)
-        return ReproduceResult(
-            status=MISMATCH,
-            diff=compare_artifacts(original, rebuilt),
-            logs=logs,
-        )
+        diff = compare_artifacts(original, rebuilt)
+        return ReproduceResult(status=MISMATCH if diff else REPRODUCED, diff=diff, logs=logs)
     finally:
         shutil.rmtree(sandbox, ignore_errors=True)

@@ -13,13 +13,19 @@ character, kept as the differential oracle of the compiled pattern;
 `reference_count_matches` is the package's earlier rule matcher, which
 collects a file's events first and then runs one match per rule; and
 `reference_one_class_svm` is the package's earlier SVM solver, which steps
-over every row and keeps its gradient incrementally.
+over every row and keeps its gradient incrementally. `reference_load_tarball`
+is the package's earlier tarball decode, a `tarfile` walk into three entry
+containers, with its own copy of the path normalizer; it parses the manifest
+with the package's `_parse_manifest` and returns the package's types.
 """
 
 from __future__ import annotations
 
+import gzip
+import io
 import json
 import math
+import tarfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -254,12 +260,12 @@ def boolean_row(vector) -> tuple[float, ...]:
 class ReferenceCorpus:
     """Object-per-row fold of a corpus log: the first vector of a key wins
     unless it is unlabeled and a later one is labeled; label events apply
-    latest-wins and keep their history; labels of unknown keys are dropped."""
+    latest-wins; labels of unknown keys are dropped."""
 
     def __init__(self, path):
         from pkgwatch.vectorize import ChangeVector
 
-        self.entries = {}  # key -> {"vector", "digest", "date", "history"}
+        self.entries = {}  # key -> {"vector", "digest"}
         with open(path, encoding="utf-8") as fh:
             assert json.loads(fh.readline())["format"] == "pkgwatch-corpus"
             for line in fh:
@@ -271,16 +277,13 @@ class ReferenceCorpus:
                     key = (vector.package, vector.version)
                     entry = self.entries.get(key)
                     if entry is None:
-                        self.entries[key] = {"vector": vector, "digest": event.get("digest"),
-                                             "date": None, "history": []}
+                        self.entries[key] = {"vector": vector, "digest": event.get("digest")}
                     elif entry["vector"].label is None and vector.label is not None:
                         entry["vector"] = vector
                 elif event["event"] == "label":
                     entry = self.entries.get((event["package"], event["version"]))
                     if entry is not None:
                         entry["vector"] = replace(entry["vector"], label=event["label"])
-                        entry["date"] = event.get("date")
-                        entry["history"].append(event["label"])
 
     def training_vectors(self, include_unlabeled: bool) -> list:
         """Vectors sorted by key; unlabeled ones relabeled benign or left out."""
@@ -555,3 +558,84 @@ def reference_scan(tokens: list[tuple[str, str]], table) -> dict[str, int]:
 def reference_count_matches(text: str, table) -> dict[str, int]:
     """Per-feature counts of one source file, through this module's tokenizer."""
     return reference_scan([(t.kind, t.value) for t in tokenize(text)], table)
+
+
+# --- tarball decode ---
+#
+# `load_tarball` as it was before it kept one list of entries, unchanged
+# apart from the `warnings` field its artifacts no longer carry.
+
+def _normalize_path(raw: str) -> str:
+    from pkgwatch.errors import CorruptArchive
+
+    path = raw.replace("\\", "/")
+    while path.startswith("./"):
+        path = path[2:]
+    parts = [p for p in path.split("/") if p not in ("", ".")]
+    if any(p == ".." for p in parts):
+        raise CorruptArchive(f"path traversal in archive entry: {raw!r}")
+    if raw.startswith("/") or (len(raw) > 1 and raw[1] == ":"):
+        raise CorruptArchive(f"absolute path in archive entry: {raw!r}")
+    return "/".join(parts)
+
+
+def reference_load_tarball(data: bytes):
+    from pkgwatch.artifact import MANIFEST_PATH, FileEntry, PackageArtifact, _parse_manifest
+    from pkgwatch.errors import CorruptArchive, MissingManifest
+
+    entries: dict[str, bytes] = {}
+    raw_paths: list[str] = []
+    try:
+        with tarfile.open(fileobj=io.BytesIO(data), mode="r:gz") as tar:
+            for member in tar:
+                if member.issym() or member.islnk():
+                    raise CorruptArchive(
+                        f"archive contains a link entry: {member.name!r}"
+                    )
+                if not member.isreg():
+                    continue
+                handle = tar.extractfile(member)
+                if handle is None:
+                    continue
+                content = handle.read()
+                raw_paths.append(member.name)
+                entries[member.name] = content
+    except CorruptArchive:
+        raise
+    except (tarfile.TarError, gzip.BadGzipFile, EOFError, OSError) as exc:
+        raise CorruptArchive(f"not a readable gzip/tar stream: {exc}") from exc
+
+    if not entries:
+        raise MissingManifest("archive contains no regular files")
+
+    # Publishers conventionally nest everything under package/; deviants get
+    # their first entry's leading component treated as the prefix.
+    first_component = _normalize_path(raw_paths[0]).split("/", 1)[0]
+    prefix = "package" if any(
+        _normalize_path(p).split("/", 1)[0] == "package" for p in raw_paths
+    ) else first_component
+
+    normalized: dict[str, bytes] = {}
+    for raw_path in raw_paths:  # preserve archive order so later entries win
+        path = _normalize_path(raw_path)
+        parts = path.split("/")
+        if len(parts) > 1 and parts[0] == prefix:
+            path = "/".join(parts[1:])
+        if not path:
+            continue
+        normalized[path] = entries[raw_path]
+
+    if MANIFEST_PATH not in normalized:
+        raise MissingManifest("no root package.json in archive")
+
+    manifest = _parse_manifest(normalized[MANIFEST_PATH])
+
+    files = tuple(
+        FileEntry(path=p, content=normalized[p]) for p in sorted(normalized)
+    )
+    return PackageArtifact(
+        name=manifest.name,
+        version=manifest.version,
+        files=files,
+        manifest=manifest,
+    )

@@ -1,6 +1,10 @@
+import logging
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_manifest, make_tgz, raw_tgz
+from oracles import reference_load_tarball
 from pkgwatch.artifact import load_tarball, source_files
 from pkgwatch.errors import CorruptArchive, ManifestParseError, MissingManifest
 
@@ -146,7 +150,7 @@ def test_manifest_fields_parsed():
     assert m.scripts["postinstall"] == "node x.js"
     assert m.repository_url == "git+https://example.com/r.git"
     assert m.repository_commit == "abc123"
-    assert m.dependencies == {"left-pad": "^1.0.0"}
+    assert m.raw["dependencies"] == {"left-pad": "^1.0.0"}
 
 
 def test_repository_as_plain_string():
@@ -156,11 +160,12 @@ def test_repository_as_plain_string():
     assert artifact.manifest.repository_url == "https://example.com/r.git"
 
 
-def test_missing_name_warns_not_errors():
+def test_missing_name_warns_not_errors(caplog):
     data = raw_tgz([("package/package.json", b'{"version":"1.0.0"}', "file")])
-    artifact = load_tarball(data)
+    with caplog.at_level(logging.WARNING, logger="pkgwatch.artifact"):
+        artifact = load_tarball(data)
     assert artifact.name == ""
-    assert artifact.warnings
+    assert [r.getMessage() for r in caplog.records] == ["manifest missing name/version"]
 
 
 def test_source_files_filtering():
@@ -182,3 +187,56 @@ def test_manifest_json_but_not_object():
     data = raw_tgz([("package/package.json", b"[1,2]", "file")])
     with pytest.raises(ManifestParseError):
         load_tarball(data)
+
+
+def mostly(common, rare):
+    """`common` three times in four, else `rare`."""
+    return st.tuples(st.sampled_from([False, False, False, True]), common, rare).map(
+        lambda pick: pick[2] if pick[0] else pick[1])
+
+
+# Entry names: common npm shapes, or names built from these components, with
+# or without a leading "/", "./" or "//", which reach every branch of the
+# prefix guess and of the path checks.
+name_parts = st.lists(st.sampled_from(
+    ["package", "pkg", "other", ".", "..", "", "package.json", "index.js", "c:"]),
+    min_size=1, max_size=4)
+entry_names = mostly(
+    st.sampled_from(["package/package.json", "package/index.js", "./package/package.json",
+                     "package//lib/./a.js", "pkg/package.json", "pkg/index.js",
+                     "other/package.json", "other/index.js", "package.json", "index.js"]),
+    st.tuples(st.sampled_from(["", "/", "./", "//"]), name_parts).map(
+        lambda lead_parts: lead_parts[0] + "/".join(lead_parts[1])))
+contents = st.sampled_from([
+    make_manifest("a", "1.0.0"), b'{"version": "1.0.0"}', b"{nope", b"[1]",
+    b"module.exports = 1;", b"",
+])
+entry = st.tuples(entry_names, contents, st.sampled_from(["file"] * 8 + ["dir"])).map(
+    lambda e: (e[0], None, "dir") if e[2] == "dir" else e)
+link = st.tuples(entry_names, st.just(b"package/index.js"),
+                 st.sampled_from(["symlink", "hardlink"]))
+# Duplicate names come from the small name pool; one list in four holds a link.
+tarballs = mostly(
+    st.lists(entry, max_size=6),
+    st.tuples(st.lists(entry, max_size=5), st.integers(0, 5), link).map(
+        lambda at: at[0][:at[1]] + [at[2]] + at[0][at[1]:]),
+).map(raw_tgz)
+# Archives: whole, truncated, or bytes that are not gzip at all.
+archives = mostly(tarballs, st.one_of(
+    st.tuples(tarballs, st.integers(0, 400)).map(lambda cut: cut[0][:cut[1]]),
+    st.binary(max_size=64),
+))
+
+
+def decoded(decode, data):
+    """The artifact `decode` gives, or the type and text of what it raises."""
+    try:
+        return decode(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(archives)
+def test_load_tarball_matches_the_reference_decode(data):
+    assert decoded(load_tarball, data) == decoded(reference_load_tarball, data)

@@ -185,6 +185,18 @@ def test_scan_with_a_model_file_of_another_generation_exits_2(workspace, capsys)
     assert f"error: {tree}: model_version is 1, not 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"models": ["one-class-svm"]}', "[]", '{\n "version": 1,\n "corpus_hash": "0000000000',
+], ids=["no-version", "list", "truncated"])
+def test_predict_with_a_malformed_model_manifest_exits_2(workspace, capsys, text):
+    manifest = Path(workspace["models"]) / ModelStore.MANIFEST
+    manifest.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["predict", "plain@1.0.1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
 def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, monkeypatch,
                                                                   capsys):
     models = Path(workspace["models"])

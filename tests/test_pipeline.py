@@ -449,7 +449,7 @@ def test_corpus_store_labeling_and_audit(tmp_path):
     reloaded = CorpusStore(path)
     entry = reloaded.get("p", "1.0.0")
     assert entry.vector.label == BENIGN
-    assert entry.label_history == [MALICIOUS, BENIGN]  # audit trail preserved
+    assert label_events(path, ("p", "1.0.0")) == [MALICIOUS, BENIGN]  # audit trail preserved
     with pytest.raises(UnknownVersion):
         store.set_label("nope", "1.0.0", BENIGN)
 
@@ -552,6 +552,16 @@ def test_corpus_store_concurrent_adds_and_reads(tmp_path):
             len(reloaded.training_set(include_unlabeled).labels)
 
 
+def label_events(path, key) -> list[str]:
+    """The labels the corpus log at `path` records for `key`, in order; each
+    label event also carries its date."""
+    with open(path, encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh.readlines()[1:]]
+    found = [e for e in events if e["event"] == "label" and (e["package"], e["version"]) == key]
+    assert all(isinstance(e["date"], str) for e in found)
+    return [e["label"] for e in found]
+
+
 def write_corpus_log(path, seed: int) -> None:
     """A corpus log with every case of the fold: unlabeled rows, relabels,
     labeled vectors replacing unlabeled ones, duplicate vectors and labels
@@ -604,7 +614,8 @@ def test_corpus_store_matches_object_per_row_fold(tmp_path, seed):
     assert len(store) == len(oracle.entries)
     assert store.get("swap", "1.0.0").vector.label == MALICIOUS
     assert store.get("dup", "1.0.0").vector.label == BENIGN
-    assert store.get("relabel", "1.0.0").label_history == [MALICIOUS, BENIGN]
+    assert store.get("relabel", "1.0.0").vector.label == BENIGN
+    assert label_events(path, ("relabel", "1.0.0")) == [MALICIOUS, BENIGN]
     assert store.get("ghost", "0.0.1") is None
     for include_unlabeled in (False, True):
         data = store.training_set(include_unlabeled)
@@ -614,20 +625,17 @@ def test_corpus_store_matches_object_per_row_fold(tmp_path, seed):
         assert data.labels.tolist() == expected.labels.tolist()
     for key, entry in oracle.entries.items():
         stored = store.get(*key)
-        assert (stored.vector, stored.digest, stored.label_date, stored.label_history) == (
-            entry["vector"], entry["digest"], entry["date"], entry["history"])
+        assert (stored.vector, stored.digest) == (entry["vector"], entry["digest"])
 
 
 def corpus_view(store, keys):
     """What a CorpusStore holding only `keys` serves: its keys, rows
-    (bytes), labels, digests, label dates and histories, and both corpus
-    hashes."""
+    (bytes), labels, digests and both corpus hashes."""
     keys = sorted(key for key in keys if key in store)
     assert len(store) == len(keys)
     entries = [store.get(*key) for key in keys]
     return (keys, store.training_set(include_unlabeled=True).rows.tobytes(),
             [e.vector.label for e in entries], [e.digest for e in entries],
-            [e.label_date for e in entries], [e.label_history for e in entries],
             [store.corpus_hash(False), store.corpus_hash(True)])
 
 
@@ -646,8 +654,7 @@ def reference_view(oracle):
             + LabeledDataset.from_vectors(vectors).rows.astype("<f8").tobytes()
         ).hexdigest())
     return (keys, LabeledDataset.from_vectors(oracle.training_vectors(True)).rows.tobytes(),
-            [e["vector"].label for e in entries], [e["digest"] for e in entries],
-            [e["date"] for e in entries], [e["history"] for e in entries], hashes)
+            [e["vector"].label for e in entries], [e["digest"] for e in entries], hashes)
 
 
 KEYS = [("a", "1.0.0"), ("a", "1.0.1"), ("b", "2.0.0")]
@@ -667,6 +674,7 @@ def test_live_writes_fold_like_a_load(writes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
         store = CorpusStore(path)
+        labeled = {key: [] for key in KEYS}
         for op, key, *args in writes:
             known = key in store
             if op == "add":
@@ -675,6 +683,7 @@ def test_live_writes_fold_like_a_load(writes):
                 assert store.add_vector(vector, digest) is not known
             elif known:
                 assert store.set_label(*key, args[0]) == store.get(*key)
+                labeled[key].append(args[0])
             else:
                 with pytest.raises(UnknownVersion):
                     store.set_label(*key, args[0])
@@ -683,6 +692,7 @@ def test_live_writes_fold_like_a_load(writes):
         expected = corpus_view(store, KEYS)
         assert corpus_view(CorpusStore(path), KEYS) == expected
         assert reference_view(ReferenceCorpus(path)) == expected
+        assert {key: label_events(path, key) for key in KEYS} == labeled
 
 
 VALID_RECORD = first_vector().to_record()
@@ -924,6 +934,30 @@ def test_model_store_rejects_a_manifest_models_entry(tmp_path, listed):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=re.escape(f"{path}: models must be a non-empty list")):
         store.load()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{\n "version": 1,\n', "Expecting property name enclosed in double quotes"),
+    ("[]", "not a JSON object"),
+    ('{"models": ["one-class-svm"], "corpus_hash": "abc"}',
+     "version must be a positive integer, got None"),
+    ('{"version": true, "corpus_hash": "abc"}', "version must be a positive integer, got True"),
+    ('{"version": 0, "corpus_hash": "abc"}', "version must be a positive integer, got 0"),
+    ('{"version": 1.0, "corpus_hash": "abc"}', "version must be a positive integer, got 1.0"),
+    ('{"version": 1, "corpus_hash": null}', "corpus_hash must be a string, got None"),
+], ids=["truncated", "list", "no-version", "boolean-version", "zero-version", "float-version",
+        "null-corpus-hash"])
+def test_model_store_rejects_a_malformed_manifest(tmp_path, text, reason):
+    models, _ = retrain_fixture(tmp_path)
+    store = ModelStore(tmp_path / "models")
+    store.save(models, corpus_hash="abc")
+    path = store.directory / ModelStore.MANIFEST
+    path.write_text(text)
+    files = {f.name: f.read_bytes() for f in store.directory.iterdir()}
+    for call in (store.load, store.version, lambda: store.save(models, corpus_hash="def")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+            call()
+    assert {f.name: f.read_bytes() for f in store.directory.iterdir()} == files
 
 
 @pytest.mark.parametrize("saves, reason", [

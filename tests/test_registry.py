@@ -24,8 +24,7 @@ def test_fixture_document_two_versions(registry_builder):
     registry_builder.add_version("mgdb", "3.1.9", published=T1)
     registry = FixtureRegistry(registry_builder.root)
     document = registry.fetch_document("mgdb")
-    assert set(document.versions) == {"3.1.8", "3.1.9"}
-    assert len(document.time) == 2
+    assert set(document.time) == set(document.dist) == {"3.1.8", "3.1.9"}
     assert document.time["3.1.9"] == pytest.approx(parse_iso8601(T1))
 
 
@@ -44,7 +43,7 @@ def test_fixture_malformed_document(registry_builder):
         FixtureRegistry(registry_builder.root).fetch_document("bad")
 
 
-def test_document_time_map_skips_pseudo_keys(registry_builder):
+def test_document_time_map_skips_pseudo_keys(registry_builder, caplog):
     registry_builder.root.mkdir(parents=True)
     (registry_builder.root / "p.meta").write_text(json.dumps({
         "name": "p",
@@ -58,7 +57,7 @@ def test_document_time_map_skips_pseudo_keys(registry_builder):
     }))
     document = FixtureRegistry(registry_builder.root).fetch_document("p")
     assert [v for v, _ in document.timeline().entries] == ["1.0.0", "1.0.1"]
-    assert document.warnings == ()
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("time_map, malformed", [
@@ -67,7 +66,7 @@ def test_document_time_map_skips_pseudo_keys(registry_builder):
     (["2024-01-01T00:00:00Z"], True),
     ("2024-01-01T00:00:00Z", True),
 ], ids=["epoch-number", "null-and-list", "list", "string"])
-def test_bad_time_map_costs_only_its_document(registry_builder, time_map, malformed):
+def test_bad_time_map_costs_only_its_document(registry_builder, caplog, time_map, malformed):
     registry_builder.add_version("good", "1.0.0", published="2024-01-02T00:00:00Z")
     (registry_builder.root / "bad.meta").write_text(json.dumps({
         "name": "bad", "versions": {"1.0.0": {}, "1.0.1": {}}, "time": time_map,
@@ -79,7 +78,8 @@ def test_bad_time_map_costs_only_its_document(registry_builder, time_map, malfor
     else:
         document = registry.fetch_document("bad")
         assert document.time == {}
-        assert any("unparseable timestamp for 1.0.0" in w for w in document.warnings)
+        assert [r.getMessage() for r in caplog.records if r.name == "pkgwatch.registry"][:1] == [
+            f"bad: unparseable timestamp for 1.0.0: {time_map['1.0.0']!r}"]
     window = registry.list_new_versions(0.0, 2e9)
     assert [(n, v) for n, v, _ in window] == [("good", "1.0.0")]
 
@@ -223,7 +223,7 @@ def http_registry():
 
 def test_http_fetch_document(http_registry):
     document = http_registry.fetch_document("web-pkg")
-    assert document.versions == ("1.0.0",)
+    assert list(document.time) == list(document.dist) == ["1.0.0"]
     assert document.time["1.0.0"] == pytest.approx(parse_iso8601(T0))
 
 

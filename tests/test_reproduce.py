@@ -89,6 +89,33 @@ def test_plan_validation():
         ReproducePlan(repo_url="x", refs=("r",), build_commands=(), timeout=1)
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("build_scripts", "build", "build_scripts must be a list of strings, got 'build'"),
+    ("build_scripts", ["build", 1], "build_scripts must be a list of strings, got ['build', 1]"),
+    ("timeout", 0, "timeout must be a positive number, got 0"),
+    ("timeout", "60", "timeout must be a positive number, got '60'"),
+    ("timeout", True, "timeout must be a positive number, got True"),
+    ("install_command", ["npm", "install"],
+     "install_command must be a string, got ['npm', 'install']"),
+    ("script_command", "npm run {name}",
+     "script_command must be a string that formats with {script} alone, got 'npm run {name}'"),
+    ("script_command", "npm run {script",
+     "script_command must be a string that formats with {script} alone, got 'npm run {script'"),
+], ids=["scripts-a-string", "script-not-a-string", "zero-timeout", "string-timeout",
+        "boolean-timeout", "command-a-list", "script-command-unknown-field",
+        "script-command-unclosed-brace"])
+def test_config_rejects_a_field_no_rebuild_can_use(field, value, reason):
+    with pytest.raises(ValueError) as raised:
+        ReproducerConfig(**{field: value})
+    assert str(raised.value) == reason
+
+
+def test_config_keeps_build_scripts_as_a_tuple():
+    config = ReproducerConfig(build_scripts=["build"], timeout=1)
+    assert config.build_scripts == ("build",)
+    assert config == ReproducerConfig(build_scripts=("build",), timeout=1.0)
+
+
 # --- artifact diffing ---
 
 def test_compare_identical():
