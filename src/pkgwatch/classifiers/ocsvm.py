@@ -36,8 +36,10 @@ affinely independent points (at most d + 1), so an iteration costs one
 product with Z and one partition, however close the rows are. The affine
 minimizer comes from a least-squares solve on the points' differences:
 the Gram system of the points is too ill-conditioned on nearly collinear
-rows. Every product with Z runs in numpy's own loops, not in BLAS, so the
-result does not depend on the BLAS thread count.
+rows. Every product with Z runs in numpy's own loops, not in BLAS, and so
+does the one margin function, which gives fit its rho_ and
+decision_function its scores: neither depends on the BLAS thread count,
+and a training row scores exactly the margin that rho_ was set from.
 
 The loop stops when the oracle's point p gives w . (w - p) <= TOL^2 *
 max(1, w . w), so that no vertex lowers w . w any further, or when an
@@ -85,9 +87,13 @@ class LinearOneClassSvm:
 
         C = 1.0 / (self.nu * n)
         bound = C * 1e-9
-        self.alpha_, self.coef_, g, self.n_iter_ = _solve(X, self.scale_, self.nu, C, bound)
-        self.rho_ = self._solve_rho(self.alpha_, g, C, bound)
+        self.alpha_, self.coef_, self.n_iter_ = _solve(X, self.scale_, self.nu, C, bound)
+        self.rho_ = self._solve_rho(self.alpha_, self._margins(X), C, bound)
         return self
+
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        """w . z per row z of X / scale; row-major, so a row sums alike in any X."""
+        return np.einsum("ij,j->i", np.divide(X, self.scale_, order="C"), self.coef_)
 
     @staticmethod
     def _solve_rho(alpha: np.ndarray, g: np.ndarray, C: float, bound: float) -> float:
@@ -109,7 +115,7 @@ class LinearOneClassSvm:
 
     def decision_function(self, X) -> np.ndarray:
         X = check_matrix(X, n_features=self.n_features_)
-        return (X / self.scale_) @ self.coef_ - self.rho_
+        return self._margins(X) - self.rho_
 
     def predict(self, X) -> np.ndarray:
         d = self.decision_function(X)
@@ -137,12 +143,9 @@ class LinearOneClassSvm:
 
 
 def _solve(X: np.ndarray, scale: np.ndarray, nu: float, C: float,
-           bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The dual optimum on X / scale.
-
-    Returns alpha, w, the gradient Z w of every row, and the number of
-    iterations taken.
-    """
+           bound: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The dual optimum on X / scale: alpha, w and the number of
+    iterations taken."""
     n = len(X)
     # Column-major, so that a product with w reads each column in one run.
     Z = np.empty(X.shape, order="F")
@@ -209,4 +212,4 @@ def _solve(X: np.ndarray, scale: np.ndarray, nu: float, C: float,
     if violation > TOL:
         raise ConvergenceFailure(
             f"KKT violation {violation:.3g} above {TOL} after {it} iterations")
-    return alpha, w, g, it
+    return alpha, w, it

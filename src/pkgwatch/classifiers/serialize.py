@@ -46,24 +46,29 @@ def save_model(model: Any, path: str | Path, metadata: dict[str, Any] | None = N
 
 
 def load_model(path: str | Path, kind: str, metadata: dict[str, Any] | None = None) -> Any:
-    """The `kind` model stored at `path`; ValueError for a file of another
-    kind, with arrays that do not fit its columns, or whose metadata does
-    not hold each item of `metadata`, SchemaMismatch for one whose columns
-    are not `kind`'s."""
+    """The `kind` model stored at `path`; ValueError ``<path>: <reason>``
+    for a file that is not JSON or is nested too deeply, of another kind,
+    with a missing field, a field of the wrong type or arrays that do not fit
+    its columns, or whose metadata does not hold each item of `metadata`;
+    SchemaMismatch for one whose columns are not `kind`'s."""
     cls, schema = MODELS[kind]
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model file: {path}")
-    if doc.get("kind") != kind:
-        raise ValueError(f"{path}: holds a {doc.get('kind')!r} model, not a {kind!r} one")
-    stored = doc.get("metadata") if isinstance(doc.get("metadata"), dict) else {}
-    for key, value in (metadata or {}).items():
-        if stored.get(key) != value:
-            raise ValueError(f"{path}: {key} is {stored.get(key)!r}, not {value!r}")
-    body = doc["model"]
-    if body.get("schema") != list(schema) or body.get("n_features") != len(schema):
-        raise SchemaMismatch(f"{path}: columns do not match those a {kind} model reads")
     try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError("not a model file")
+        if doc.get("kind") != kind:
+            raise ValueError(f"holds a {doc.get('kind')!r} model, not a {kind!r} one")
+        stored = doc.get("metadata") if isinstance(doc.get("metadata"), dict) else {}
+        for key, value in (metadata or {}).items():
+            if stored.get(key) != value:
+                raise ValueError(f"{key} is {stored.get(key)!r}, not {value!r}")
+        body = doc["model"]
+        if not isinstance(body, dict):
+            raise ValueError("model is not a JSON object")
+        if body.get("schema") != list(schema) or body.get("n_features") != len(schema):
+            raise SchemaMismatch(f"{path}: columns do not match those a {kind} model reads")
         return cls.from_dict(body)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    # RecursionError: nesting deeper than the JSON decoder's recursion limit.
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from exc

@@ -5,12 +5,14 @@ adjacent observed values. Ties among equal-gain candidates go to the
 lowest column index, then the lowest threshold; leaf ties go to the
 malicious class. The tree grows to purity (no depth cap, one sample per
 leaf), matching classifiers trained on small, imbalanced security corpora
-where recall on rare positives matters.
+where recall on rare positives matters. The fitted tree `root_` is the
+node document its model file stores: a leaf is {"leaf": label, "counts":
+[benign, malicious]}, a split {"column", "threshold", "counts", "left",
+"right"}, and a row with x[column] <= threshold goes left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -20,47 +22,29 @@ from ..vectorize import BENIGN, MALICIOUS
 from .base import check_labels, check_matrix, labels_to_binary, stored_array
 
 
-@dataclass
-class TreeNode:
-    prediction: str | None = None
-    counts: tuple[int, int] = (0, 0)  # (benign, malicious) training rows
-    column: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+def _checked(node: Any, n_features: int) -> dict[str, Any]:
+    """A fresh copy of the stored subtree `node`, checked to score rows of
+    `n_features` columns."""
+    if not isinstance(node, dict):
+        raise ValueError("a tree node is not a JSON object")
+    if "leaf" in node:
+        if node["leaf"] not in (MALICIOUS, BENIGN):
+            raise ValueError(f"leaf label {node['leaf']!r} is not malicious or benign")
+        return {"leaf": node["leaf"], "counts": list(node["counts"])}
+    column = node["column"]
+    if type(column) is not int or not 0 <= column < n_features:
+        raise ValueError(f"split column {column!r} is not in [0, {n_features})")
+    return {
+        "column": column,
+        "threshold": float(stored_array(node["threshold"], (), "threshold")),
+        "counts": list(node["counts"]),
+        "left": _checked(node["left"], n_features),
+        "right": _checked(node["right"], n_features),
+    }
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.prediction is not None
 
-    def to_dict(self) -> dict[str, Any]:
-        if self.is_leaf:
-            return {"leaf": self.prediction, "counts": list(self.counts)}
-        return {
-            "column": self.column,
-            "threshold": self.threshold,
-            "counts": list(self.counts),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any], n_features: int) -> "TreeNode":
-        """The subtree stored in `doc`, checked to score rows of `n_features` columns."""
-        if "leaf" in doc:
-            if doc["leaf"] not in (MALICIOUS, BENIGN):
-                raise ValueError(f"leaf label {doc['leaf']!r} is not malicious or benign")
-            return cls(prediction=doc["leaf"], counts=tuple(doc["counts"]))
-        column = doc["column"]
-        if type(column) is not int or not 0 <= column < n_features:
-            raise ValueError(f"split column {column!r} is not in [0, {n_features})")
-        return cls(
-            column=column,
-            threshold=float(stored_array(doc["threshold"], (), "threshold")),
-            counts=tuple(doc["counts"]),
-            left=cls.from_dict(doc["left"], n_features),
-            right=cls.from_dict(doc["right"], n_features),
-        )
+def _count_nodes(node: dict[str, Any]) -> int:
+    return 1 if "leaf" in node else 1 + _count_nodes(node["left"]) + _count_nodes(node["right"])
 
 
 def _entropy_from_counts(n_mal: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -82,14 +66,14 @@ class DecisionTreeClassifier:
         y01 = labels_to_binary(check_labels(y, X.shape[0]))
         self.n_features_ = X.shape[1]
         self.root_ = self._build(X, y01, np.arange(X.shape[0]))
-        self.node_count_ = self._count_nodes(self.root_)
+        self.node_count_ = _count_nodes(self.root_)
         return self
 
-    def _leaf(self, y01: np.ndarray, idx: np.ndarray) -> TreeNode:
+    def _leaf(self, y01: np.ndarray, idx: np.ndarray) -> dict[str, Any]:
         n_mal = int(y01[idx].sum())
         n_ben = len(idx) - n_mal
         label = MALICIOUS if n_mal >= n_ben else BENIGN  # tie goes malicious
-        return TreeNode(prediction=label, counts=(n_ben, n_mal))
+        return {"leaf": label, "counts": [n_ben, n_mal]}
 
     def _best_split(
         self, X: np.ndarray, y01: np.ndarray, idx: np.ndarray
@@ -139,7 +123,7 @@ class DecisionTreeClassifier:
         _, col, threshold, b, order = best
         return col, threshold, b, order
 
-    def _build(self, X: np.ndarray, y01: np.ndarray, idx: np.ndarray) -> TreeNode:
+    def _build(self, X: np.ndarray, y01: np.ndarray, idx: np.ndarray) -> dict[str, Any]:
         n_mal = int(y01[idx].sum())
         if n_mal == 0 or n_mal == len(idx):  # pure
             return self._leaf(y01, idx)
@@ -152,41 +136,33 @@ class DecisionTreeClassifier:
         # consistent data still reaches pure leaves (e.g. XOR-shaped data).
         left_idx = idx[order[: boundary + 1]]
         right_idx = idx[order[boundary + 1 :]]
-        return TreeNode(
-            column=col,
-            threshold=threshold,
-            counts=(len(idx) - n_mal, n_mal),
-            left=self._build(X, y01, left_idx),
-            right=self._build(X, y01, right_idx),
-        )
+        return {
+            "column": col,
+            "threshold": threshold,
+            "counts": [len(idx) - n_mal, n_mal],
+            "left": self._build(X, y01, left_idx),
+            "right": self._build(X, y01, right_idx),
+        }
 
     def predict(self, X) -> np.ndarray:
         X = check_matrix(X, n_features=self.n_features_)
         out = []
         for row in X:
             node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.column] <= node.threshold else node.right
-            out.append(node.prediction)
+            while "leaf" not in node:
+                node = node["left"] if row[node["column"]] <= node["threshold"] else node["right"]
+            out.append(node["leaf"])
         return np.asarray(out, dtype=object)
-
-    def _count_nodes(self, node: TreeNode) -> int:
-        if node.is_leaf:
-            return 1
-        return 1 + self._count_nodes(node.left) + self._count_nodes(node.right)
 
     def to_dict(self) -> dict[str, Any]:
         # The file format keeps the parameters of earlier versions, which
         # always grew the tree to purity.
-        return {
-            "params": {"max_depth": None, "min_samples_leaf": 1},
-            "root": self.root_.to_dict(),
-        }
+        return {"params": {"max_depth": None, "min_samples_leaf": 1}, "root": self.root_}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "DecisionTreeClassifier":
         model = cls()
         model.n_features_ = doc["n_features"]
-        model.root_ = TreeNode.from_dict(doc["root"], model.n_features_)
-        model.node_count_ = model._count_nodes(model.root_)
+        model.root_ = _checked(doc["root"], model.n_features_)
+        model.node_count_ = _count_nodes(model.root_)
         return model

@@ -90,7 +90,7 @@ def _reproducer_config(build_config: str | None, no_reproduce: bool) -> Reproduc
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown key {key!r}")
         return ReproducerConfig(**doc)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{build_config}: {exc}") from exc
 
 

@@ -193,7 +193,7 @@ def load_pattern_table(path: str | Path) -> PatternTable:
                 raise ValueError(f"rules of {feature!r} must be a list")
             rules[feature] = tuple(_load_rule(entry) for entry in entries)
         return PatternTable(rules=rules)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

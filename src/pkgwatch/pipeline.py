@@ -245,7 +245,7 @@ class CorpusStore:
                             lines.append(lineno)
                         elif index is not None:
                             lines[index] = lineno
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{self.path}:{lineno}: {reason}") from exc
         # json.loads takes NaN, Infinity and 1e999. One check of the folded
@@ -760,7 +760,7 @@ class ScanReport:
                     raise ValueError("not a JSON object")
                 if record.keys() != {"summary"}:
                     verdicts.append(Verdict.from_record(record))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{path}:{lineno}: {reason}") from exc
         return cls(verdicts=verdicts)

@@ -42,7 +42,8 @@ class PackageDocument:
 
 
 def _parse_document(name: str, doc: dict) -> PackageDocument:
-    """The document's publish times and dist entries; an unparseable
+    """The publish times and dist entries of the document fetched for
+    `name`, which names it whatever its own ``name`` says; an unparseable
     timestamp, or a version the time map lacks, is logged and left out."""
     if not isinstance(doc, dict) or not isinstance(doc.get("versions"), dict):
         raise MalformedDocument(f"registry document for {name!r} lacks versions")
@@ -66,7 +67,7 @@ def _parse_document(name: str, doc: dict) -> PackageDocument:
         for version, excerpt in doc["versions"].items()
         if isinstance(excerpt, dict) and isinstance(excerpt.get("dist"), dict)
     }
-    return PackageDocument(name=doc.get("name", name), time=time_map, dist=dist)
+    return PackageDocument(name=name, time=time_map, dist=dist)
 
 
 def verify_integrity(data: bytes, dist: dict | None, context: str) -> None:
@@ -142,7 +143,8 @@ class FixtureRegistry:
             raise NotFound(f"no fixture document for {name!r}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        # RecursionError: nesting deeper than the JSON decoder's recursion limit.
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDocument(f"fixture document {path}: {exc}") from exc
         return _parse_document(name, doc)
 
@@ -231,7 +233,7 @@ class HttpRegistry:
         response = self._get(f"{self.base_url}/{encoded}")
         try:
             doc = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"unparseable document for {name!r}") from exc
         return _parse_document(name, doc)
 

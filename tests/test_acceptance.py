@@ -171,8 +171,8 @@ def test_c04_decision_tree_oracle():
         y = np.array([M if b else B for b in y01], dtype=object)
         tree = DecisionTreeClassifier().fit(X, y)
         expected = exhaustive_best_split(X, y01)
-        if (tree.root_.column == expected[0]
-                and abs(tree.root_.threshold - expected[1]) <= 1e-12):
+        if (tree.root_["column"] == expected[0]
+                and abs(tree.root_["threshold"] - expected[1]) <= 1e-12):
             root_matches += 1
         predicted = [1 if p == M else 0 for p in tree.predict(X)]
         accuracy_ok &= predicted == y01.tolist()

@@ -197,6 +197,23 @@ def test_predict_with_a_malformed_model_manifest_exits_2(workspace, capsys, text
     assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name, change", [
+    ("naive-bayes.json", lambda text: text[:100]),
+    ("decision-tree.json", lambda text: DEEP),
+    ("one-class-svm.json", lambda text: text.replace('"params"', '"settings"')),
+], ids=["truncated", "nested-too-deeply", "no-params"])
+def test_predict_with_a_malformed_model_file_exits_2(workspace, capsys, name, change):
+    model = Path(workspace["models"]) / name
+    model.write_text(change(model.read_text()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["predict", "plain@1.0.1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
 def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, monkeypatch,
                                                                   capsys):
     models = Path(workspace["models"])
@@ -326,11 +343,13 @@ def test_missing_registry_is_usage_error(runner):
      "rule value must be a non-empty string, got 5"),
     ({"pii_access": [{"kind": "call_of", "value": ""}]}, "non-empty string"),
     ({"pii_access": [{"kind": "call_of", "value": "x"}]}, "has no rules"),
+    (DEEP, "maximum recursion depth exceeded"),
 ], ids=["not-an-object", "rules-not-a-list", "rule-not-an-object", "missing-kind",
-        "unknown-key", "value-not-a-string", "empty-value", "feature-without-rules"])
+        "unknown-key", "value-not-a-string", "empty-value", "feature-without-rules",
+        "nested-too-deeply"])
 def test_malformed_pattern_table_exits_2(workspace, tmp_path, capsys, doc, reason):
     table = tmp_path / "rules.json"
-    table.write_text(json.dumps(doc))
+    table.write_text(DEEP if doc is DEEP else json.dumps(doc))
     with pytest.raises(SystemExit) as exit_info:
         main(base_args(workspace) + ["--pattern-table", str(table),
                                      "scan", "plain@1.0.1", "--no-reproduce", "--no-record"])
@@ -350,12 +369,13 @@ def test_malformed_pattern_table_exits_2(workspace, tmp_path, capsys, doc, reaso
     ({"install_command": ["npm", "install"]}, "install_command must be a string"),
     ({"script_command": "npm run {name}"}, "script_command must be a string that formats"),
     ({"script_command": "npm run {script"}, "script_command must be a string that formats"),
+    (DEEP, "maximum recursion depth exceeded"),
 ], ids=["not-an-object", "unknown-key", "scripts-a-string", "script-not-a-string",
         "zero-timeout", "string-timeout", "boolean-timeout", "command-a-list",
-        "script-command-unknown-field", "script-command-unclosed-brace"])
+        "script-command-unknown-field", "script-command-unclosed-brace", "nested-too-deeply"])
 def test_malformed_build_config_exits_2(workspace, tmp_path, capsys, doc, reason):
     config = tmp_path / "build.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(DEEP if doc is DEEP else json.dumps(doc))
     with pytest.raises(SystemExit) as exit_info:
         main(base_args(workspace) + ["scan", "plain@1.0.1", "--no-record",
                                      "--build-config", str(config)])
@@ -371,6 +391,15 @@ def test_report_of_a_non_verdict_line_exits_2(workspace, capsys):
         main(["report", str(report)])
     assert exit_info.value.code == 2
     assert f"error: {report}:2: missing field 'package'" in capsys.readouterr().err
+
+
+def test_report_of_a_too_deeply_nested_line_exits_2(workspace, capsys):
+    report = workspace["tmp"] / "r.jsonl"
+    report.write_text('{"summary": {}}\n' + DEEP + "\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(report)])
+    assert exit_info.value.code == 2
+    assert f"error: {report}:2: maximum recursion depth exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields, reason", [

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_training_vectors
 from oracles import qp_one_class_svm, reference_one_class_svm
@@ -255,17 +255,20 @@ def test_jittered_seed5_corpus_fits_in_few_iterations(seed5_pool):
 
 
 def test_fit_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # The benign rows of the benchmark's seed-0 corpus, fitted in two fresh
-    # interpreters, one after the other: OpenBLAS reads its thread count at
-    # import. A threaded matrix-vector product sums in another order.
+    # The benign rows of the benchmark's seed-0 corpus, fitted and scored in
+    # two fresh interpreters, one after the other: OpenBLAS reads its thread
+    # count at import. A threaded matrix-vector product sums in another order.
     rows = tmp_path / "rows.npy"
     np.save(rows, resampled_benign_rows(training_pool(0), 0, 90_000))
     script = textwrap.dedent("""
+        import hashlib
         import sys
         import numpy as np
         from pkgwatch.classifiers import LinearOneClassSvm
-        model = LinearOneClassSvm().fit(np.load(sys.argv[1]))
-        print(model.coef_.tobytes().hex(), np.float64(model.rho_).tobytes().hex(), model.n_iter_)
+        X = np.load(sys.argv[1])
+        model = LinearOneClassSvm().fit(X)
+        print(model.coef_.tobytes().hex(), np.float64(model.rho_).tobytes().hex(), model.n_iter_,
+              hashlib.sha256(model.decision_function(X).tobytes()).hexdigest())
     """)
     src = Path(__file__).resolve().parents[1] / "src"
     fits = [
@@ -275,6 +278,24 @@ def test_fit_does_not_depend_on_the_blas_thread_count(tmp_path):
         for threads in ("1", "2")
     ]
     assert fits[0] == fits[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-2, 1e4))
+                    .map(lambda t: t[0] * t[1]), min_size=2, max_size=17),
+       n=st.sampled_from([100, 1000]), nu=st.sampled_from([0.001, 0.01, 0.05, 0.3]),
+       order=st.sampled_from("CF"))
+@example(row=[0.24577284373863384, -0.7466528839828983, 0.6787395958595579,
+              -0.46990009907954344, -0.8696871441704723, 0.07703242182250279],
+         n=100, nu=0.01, order="C")
+def test_copies_of_one_row_never_flag_a_training_row(row, n, nu, order):
+    # Every row lies on the margin, so each must score exactly rho_'s own
+    # margin: nu promises at most nu * n flagged rows, and these are all alike.
+    # Scored in a batch of either layout, or alone.
+    X = np.array(np.tile(row, (n, 1)), order=order)
+    model = LinearOneClassSvm(nu=nu).fit(X)
+    assert (model.decision_function(X) >= 0).all()
+    assert model.decision_function(X[:1])[0] >= 0
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

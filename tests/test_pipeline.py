@@ -709,7 +709,9 @@ VALID_RECORD = first_vector().to_record()
      "time_since_prev must be >= 0"),
     (json.dumps({"event": "label", "package": "p", "version": "1.0.0", "label": "evil"}),
      "unknown label: 'evil'"),
-], ids=["bad-json", "missing-field", "unknown-update-type", "negative-time", "bad-label"])
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["bad-json", "missing-field", "unknown-update-type", "negative-time", "bad-label",
+        "nested-too-deeply"])
 def test_corpus_load_error_names_file_and_line(tmp_path, line, reason):
     path = tmp_path / "c.jsonl"
     CorpusStore(path).add_vector(first_vector())

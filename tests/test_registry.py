@@ -60,28 +60,44 @@ def test_document_time_map_skips_pseudo_keys(registry_builder, caplog):
     assert not caplog.records
 
 
-@pytest.mark.parametrize("time_map, malformed", [
-    ({"1.0.0": 1704067200}, False),
-    ({"1.0.0": None, "1.0.1": ["2024-01-01T00:00:00Z"]}, False),
-    (["2024-01-01T00:00:00Z"], True),
-    ("2024-01-01T00:00:00Z", True),
-], ids=["epoch-number", "null-and-list", "list", "string"])
-def test_bad_time_map_costs_only_its_document(registry_builder, caplog, time_map, malformed):
+def _bad_document(**fields) -> str:
+    return json.dumps({"name": "bad", "versions": {"1.0.0": {}, "1.0.1": {}}, **fields})
+
+
+GOOD, BAD = ("good", "1.0.0"), ("bad", "1.0.0")
+ON_TIME = {"1.0.0": "2024-01-01T00:00:00Z"}
+
+
+# The document of bad -> whether fetching it raises MalformedDocument, the
+# first registry log line of the fetch, and the window listed.
+@pytest.mark.parametrize("text, malformed, logged, window", [
+    (_bad_document(time={"1.0.0": 1704067200}), False,
+     "bad: unparseable timestamp for 1.0.0: 1704067200", [GOOD]),
+    (_bad_document(time={"1.0.0": None, "1.0.1": ["2024-01-01T00:00:00Z"]}), False,
+     "bad: unparseable timestamp for 1.0.0: None", [GOOD]),
+    (_bad_document(time=["2024-01-01T00:00:00Z"]), True, None, [GOOD]),
+    (_bad_document(time="2024-01-01T00:00:00Z"), True, None, [GOOD]),
+    (_bad_document(name=["x"], time=ON_TIME), False,
+     "bad: version 1.0.1 missing from time map", [BAD, GOOD]),
+    (_bad_document(name="someone-else", time=ON_TIME), False,
+     "bad: version 1.0.1 missing from time map", [BAD, GOOD]),
+    ("[" * 100_000 + "]" * 100_000, True, None, [GOOD]),
+], ids=["epoch-number", "null-and-list", "list", "string", "name-a-list",
+        "name-of-another-package", "nested-too-deeply"])
+def test_bad_time_map_costs_only_its_document(registry_builder, caplog, text, malformed,
+                                              logged, window):
     registry_builder.add_version("good", "1.0.0", published="2024-01-02T00:00:00Z")
-    (registry_builder.root / "bad.meta").write_text(json.dumps({
-        "name": "bad", "versions": {"1.0.0": {}, "1.0.1": {}}, "time": time_map,
-    }))
+    (registry_builder.root / "bad.meta").write_text(text)
     registry = FixtureRegistry(registry_builder.root)
     if malformed:
         with pytest.raises(MalformedDocument):
             registry.fetch_document("bad")
     else:
-        document = registry.fetch_document("bad")
-        assert document.time == {}
+        # A document is named by the name it was fetched for, not by its own.
+        assert registry.fetch_document("bad").name == "bad"
         assert [r.getMessage() for r in caplog.records if r.name == "pkgwatch.registry"][:1] == [
-            f"bad: unparseable timestamp for 1.0.0: {time_map['1.0.0']!r}"]
-    window = registry.list_new_versions(0.0, 2e9)
-    assert [(n, v) for n, v, _ in window] == [("good", "1.0.0")]
+            logged]
+    assert [(n, v) for n, v, _ in registry.list_new_versions(0.0, 2e9)] == window
 
 
 def test_fixture_tarball_loads(registry_builder):
@@ -154,7 +170,7 @@ def test_open_registry_dispatch(registry_builder, tmp_path):
 # --- HTTP mode against a local server ---
 
 class _Handler(BaseHTTPRequestHandler):
-    documents: dict[str, dict] = {}
+    documents: dict[str, dict | str] = {}  # a str is served as it stands
     tarballs: dict[str, bytes] = {}
     failures_left = 0
     requests_seen: list[str] = []
@@ -173,7 +189,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
         elif path in self.documents:
-            body = json.dumps(self.documents[path]).encode()
+            document = self.documents[path]
+            body = (document if isinstance(document, str) else json.dumps(document)).encode()
             self.send_response(200)
             self.end_headers()
             self.wfile.write(body)
@@ -287,18 +304,23 @@ def test_fixture_and_http_list_the_same_window(http_registry, tmp_path):
                  "time": {"created": "2021-07-29T00:00:00Z",
                           "0.1.0": "2021-07-29T00:00:00Z"}},
         "broken": {"name": "broken", "versions": "none"},
+        "renamed": {"name": "someone-else", "versions": {"2.0.0": {}},
+                    "time": {"2.0.0": "2021-07-20T00:00:00Z"}},
+        "deep": "[" * 100_000 + "]" * 100_000,
     }
     root = tmp_path / "fixture"
     root.mkdir()
     for name, document in documents.items():
-        (root / f"{name}.meta").write_text(json.dumps(document))
+        (root / f"{name}.meta").write_text(
+            document if isinstance(document, str) else json.dumps(document))
     _Handler.documents = documents
     since, until = parse_iso8601("2021-07-15T00:00:00Z"), 2e9
 
     fixture = FixtureRegistry(root).list_new_versions(since, until)
     http = http_registry.list_new_versions(since, until, [*documents, "ghost"])
     assert fixture == http
-    assert [(n, v) for n, v, _ in fixture] == [("beta", "0.1.0"), ("alpha", "1.1.0")]
+    assert [(n, v) for n, v, _ in fixture] == [
+        ("renamed", "2.0.0"), ("beta", "0.1.0"), ("alpha", "1.1.0")]
 
 
 UNSAFE_VERSIONS = ("", "1.0.0/../../../escaped", "1.0.0\\..\\escaped")

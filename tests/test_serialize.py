@@ -48,6 +48,16 @@ def test_saved_files_match_parent_bytes(tmp_path):
     assert ours == parent
 
 
+def test_loaded_store_saves_its_own_bytes(tmp_path):
+    # Load, then save: each model writes back the document it was read from,
+    # the tree's checked copy of its nodes included.
+    manifest = json.loads((STORE / ModelStore.MANIFEST).read_text())
+    ModelStore(tmp_path).save(ModelStore(STORE).load(), manifest["corpus_hash"])
+    for name in [f"{model_id}.json" for model_id in MODEL_IDS] + [ModelStore.MANIFEST]:
+        assert _without_created((tmp_path / name).read_text()) == \
+               _without_created((STORE / name).read_text())
+
+
 def _reverse_schema(doc):
     doc["model"]["schema"].reverse()
     return doc
@@ -88,10 +98,19 @@ def _edit(find, key, value):
     return change
 
 
+def _drop(find, key):
+    """A change that removes `key` from the node `find` picks."""
+    def change(doc):
+        del find(doc)[key]
+        return doc
+    return change
+
+
 NAN, INF = float("nan"), float("inf")
 
 # case -> (file in the store, how it changes, what loading the store raises);
-# a file name as the change copies that file over the target.
+# a file name as the change copies that file over the target, and a change
+# that returns a str writes that text.
 TAMPERED = {
     "svm-coef-cut": ("one-class-svm.json", _edit(_model, "coef", lambda v: v[:5]), ValueError),
     "svm-scale-long": ("one-class-svm.json", _edit(_model, "scale", lambda v: v + [1.0]),
@@ -124,6 +143,13 @@ TAMPERED = {
     "svm-in-tree-slot": ("decision-tree.json", "one-class-svm.json", ValueError),
     "nb-in-svm-slot": ("one-class-svm.json", "naive-bayes.json", ValueError),
     "not-an-object": ("naive-bayes.json", lambda doc: [doc], ValueError),
+    "nb-truncated": ("naive-bayes.json", lambda doc: json.dumps(doc, indent=1)[:100], ValueError),
+    "nested-too-deeply": ("naive-bayes.json", lambda doc: "[" * 100_000 + "]" * 100_000,
+                          ValueError),
+    "tree-node-without-left": ("decision-tree.json", _drop(_first_split, "left"), ValueError),
+    "tree-node-a-list": ("decision-tree.json", _edit(_first_split, "left", []), ValueError),
+    "svm-without-params": ("one-class-svm.json", _drop(_model, "params"), ValueError),
+    "model-a-list": ("one-class-svm.json", _edit(lambda doc: doc, "model", []), ValueError),
 }
 
 
@@ -134,9 +160,11 @@ def test_model_store_rejects_tampered_files(tmp_path, case):
     shutil.copytree(STORE, store)
     if callable(change):
         doc = change(json.loads((store / target).read_text()))
-        (store / target).write_text(json.dumps(doc, indent=1) + "\n")
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=1) + "\n"
+        (store / target).write_text(text)
     else:
         shutil.copyfile(STORE / change, store / target)
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         ModelStore(store).load()
+    assert str(info.value).startswith(f"{store / target}: ")
 

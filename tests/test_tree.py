@@ -14,7 +14,7 @@ def test_separable_1d_gives_depth_one_tree():
     tree = DecisionTreeClassifier().fit(X, y)
     assert tree.node_count_ == 3
     assert list(tree.predict(X)) == [B, B, M, M]
-    assert tree.root_.threshold == pytest.approx(0.0)
+    assert tree.root_["threshold"] == pytest.approx(0.0)
 
 
 def test_all_benign_single_leaf():
@@ -67,8 +67,8 @@ def test_root_split_matches_exhaustive_search():
         if expected is None:
             assert tree.node_count_ == 1
             continue
-        assert tree.root_.column == expected[0]
-        assert tree.root_.threshold == pytest.approx(expected[1], abs=1e-12)
+        assert tree.root_["column"] == expected[0]
+        assert tree.root_["threshold"] == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_predictions_match_reference_tree_and_training_accuracy():
