@@ -92,6 +92,18 @@ def canonical_digest(
     return ContentDigest(value=hasher.hexdigest(), algorithm=algorithm)
 
 
+def read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file, split by `str.splitlines`; ValueError
+    ``<file>:<line>: <reason>`` for bytes that are not UTF-8, where <line>
+    counts the newlines before them."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+
+
 class MalwareHashSet:
     """Digests of known-malicious packages, backed by an append-only log.
 
@@ -111,7 +123,7 @@ class MalwareHashSet:
             self._load()
 
     def _load(self) -> None:
-        lines = self._path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(self._path)
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

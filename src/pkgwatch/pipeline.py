@@ -31,10 +31,12 @@ import multiprocessing
 import os
 import threading
 from array import array
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,7 @@ from .clones import (
     MalwareHashSet,
     canonical_digest,
     find_clone,
+    read_lines,
 )
 from .errors import PkgwatchError, UnknownVersion
 from .features import FeatureVector, extract_features
@@ -191,6 +194,29 @@ CORPUS_FORMAT = "pkgwatch-corpus"
 #: Leads the bytes `CorpusStore.corpus_hash` digests. Version 1 (untagged)
 #: hashed each vector's JSON record; its values are not comparable.
 CORPUS_HASH_TAG = b"pkgwatch-corpus-hash/2\n"
+#: Names a corpus snapshot's layout; with NUMERIC_SCHEMA, the tag a
+#: snapshot must carry to be read.
+SNAPSHOT_FORMAT = "pkgwatch-corpus-snapshot/1"
+#: A snapshot stores each row's label as its index here.
+SNAPSHOT_LABELS = (None, BENIGN, MALICIOUS)
+
+
+def replace_atomically(files: list[tuple[Path, Callable[[Path], object]]]) -> None:
+    """Give each (path, write) pair new content: `write(temporary)` fills a
+    file beside `path`, and once every one is written, each is renamed over
+    its path, in order. A failed write changes no path and leaves no
+    temporary file; a reader sees each path whole, old or new."""
+    staged = []
+    try:
+        for path, write in files:
+            temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+            staged.append((temporary, path))
+            write(temporary)
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
 
 
 @dataclass
@@ -215,10 +241,19 @@ class CorpusStore:
     matrix of rows in NUMERIC_SCHEMA order (grown by doubling), and
     parallel label and digest lists. `get` and `set_label` build their
     `StoredVector`s from these on demand.
+
+    A load starts from the snapshot beside the log (`snapshot_path`): the
+    view's columns as of a prefix of the log, with that prefix's length,
+    line count and sha256. It is used only if it is whole and the log still
+    starts with that prefix; then only the lines after it are replayed.
+    Otherwise every line is. The log stays the only source of truth: the
+    snapshot is rewritten by loads, never by writes, and deleting it costs
+    only time.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.snapshot_path = self.path.with_name(self.path.name + ".snapshot")
         self._index: dict[tuple[str, str], int] = {}
         self._keys: list[tuple[str, str]] = []
         self._rows = np.empty((0, len(NUMERIC_SCHEMA)))
@@ -230,24 +265,35 @@ class CorpusStore:
             self._load()
 
     def _load(self) -> None:
-        lineno = 1
-        # lines[i] is the line that row i was last read from.
-        lines = array("l")
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
+            lineno, hasher = self._restore(fh)
+            prefix = fh.tell()
+            # lines[i] is the line that row i was last read from; 0 for a
+            # row of the snapshot, whose rows are all finite.
+            lines = array("l", [0]) * len(self._keys)
+            line = b""
             try:
-                header = json.loads(fh.readline())
-                if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-                    raise ValueError("not a corpus file")
-                for lineno, line in enumerate(fh, start=2):
-                    if line.strip():
-                        index = self._apply(json.loads(line))
+                for lineno, line in enumerate(fh, start=lineno + 1):
+                    hasher.update(line)
+                    # json.loads would also take bytes in UTF-16 and UTF-32.
+                    text = line.decode("utf-8")
+                    if lineno == 1:
+                        header = json.loads(text)
+                        if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
+                            raise ValueError("not a corpus file")
+                    elif text.strip():
+                        index = self._apply(json.loads(text))
                         if index == len(lines):
                             lines.append(lineno)
                         elif index is not None:
                             lines[index] = lineno
+                if lineno == 0:
+                    lineno = 1
+                    raise ValueError("not a corpus file")
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{self.path}:{lineno}: {reason}") from exc
+            end = fh.tell()
         # json.loads takes NaN, Infinity and 1e999. One check of the folded
         # rows keeps the load fast; a row the fold discarded is not checked.
         rows = self._rows[:len(self._keys)]
@@ -257,6 +303,93 @@ class CorpusStore:
             column = int(np.flatnonzero(~np.isfinite(rows[index]))[0])
             raise ValueError(f"{self.path}:{lines[index]}: {NUMERIC_SCHEMA[column]} "
                              f"is not a finite number: {float(rows[index, column])}")
+        # A replay at least as long as the snapshot's prefix (every full
+        # fold) rewrites it, so rewrites cost no more than the replays they
+        # save. A last line without its newline may still be growing.
+        if end - prefix >= prefix and line.endswith(b"\n"):
+            self._save_snapshot([end, lineno, hasher.hexdigest()])
+
+    def _restore(self, log) -> tuple[int, "hashlib._Hash"]:
+        """Restore the view from the snapshot if it is whole and folds a
+        prefix of `log`: that prefix's line count and a sha256 of its bytes,
+        with `log` just after it. Otherwise the view stays empty: 0 and a
+        fresh sha256, with `log` at its start."""
+        try:
+            with open(self.snapshot_path, "rb") as fh:
+                header = json.loads(fh.readline(4096))
+                checksum = header.pop("sha256")
+                if (header["format"], header["schema"]) != (SNAPSHOT_FORMAT,
+                                                            list(NUMERIC_SCHEMA)):
+                    raise ValueError("another format or other columns")
+                n, (size, count, digest) = header["rows"], header["prefix"]
+                rows, codes, blob = (np.lib.format.read_array(fh, allow_pickle=False)
+                                     for _ in range(3))
+                if fh.read(1):
+                    raise ValueError("bytes after the last column")
+            if (rows.dtype, rows.shape, codes.dtype, codes.shape, blob.dtype, blob.ndim) != (
+                    np.float64, (n, len(NUMERIC_SCHEMA)), np.uint8, (n,), np.uint8, 1):
+                raise ValueError("columns of another type or length")
+            hasher = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+            for column in (rows, codes, blob):
+                hasher.update(column)
+            if hasher.hexdigest() != checksum:
+                raise ValueError("checksum mismatch")
+            if not np.isfinite(rows).all():
+                raise ValueError("a row that is not finite")
+            packages, versions, digests = json.loads(blob.tobytes())
+            keys = list(zip(packages, versions))
+            labels = list(map(SNAPSHOT_LABELS.__getitem__, codes.tolist()))
+            index = dict(zip(keys, range(n)))
+            if not len(packages) == len(versions) == len(index) == len(digests) == n \
+                    or type(count) is not int:
+                raise ValueError("columns of another length")
+            hasher = hashlib.sha256()
+            while size > 0 and (chunk := log.read(min(size, 1 << 20))):
+                hasher.update(chunk)
+                size -= len(chunk)
+            if size or hasher.hexdigest() != digest:
+                raise ValueError("the log does not start with the prefix it folds")
+        except FileNotFoundError:
+            pass
+        # Damaged bytes can make any field any JSON value and any array
+        # header anything, and numpy's header parser then raises more than
+        # ValueError (tokenize.TokenError, say); no failure to read a cache
+        # may fail the load.
+        except Exception as exc:
+            logger.info("corpus snapshot %s not used: %r", self.snapshot_path, exc)
+        else:
+            self._index, self._keys, self._rows = index, keys, rows
+            self._labels, self._digests = labels, digests
+            return count, hasher
+        log.seek(0)
+        return 0, hashlib.sha256()
+
+    def _save_snapshot(self, prefix: list) -> None:
+        """Write the view as the snapshot of the log `prefix` ([bytes, lines,
+        sha256]) folds; a failed write is logged, not raised."""
+        n = len(self._keys)
+        header = {"format": SNAPSHOT_FORMAT, "schema": list(NUMERIC_SCHEMA), "rows": n,
+                  "prefix": prefix}
+        codes = {label: code for code, label in enumerate(SNAPSHOT_LABELS)}
+        keys = json.dumps([[key[0] for key in self._keys], [key[1] for key in self._keys],
+                           self._digests], separators=(",", ":")).encode()
+        columns = (self._rows[:n], np.fromiter(map(codes.__getitem__, self._labels), np.uint8, n),
+                   np.frombuffer(keys, np.uint8))
+        hasher = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+        for column in columns:
+            hasher.update(column)
+        header["sha256"] = hasher.hexdigest()
+
+        def write(temporary: Path) -> None:
+            with open(temporary, "wb") as fh:
+                fh.write(json.dumps(header).encode() + b"\n")
+                for column in columns:
+                    np.lib.format.write_array(fh, column, allow_pickle=False)
+
+        try:
+            replace_atomically([(self.snapshot_path, write)])
+        except OSError as exc:
+            logger.warning("corpus snapshot %s not written: %s", self.snapshot_path, exc)
 
     def _apply(self, event: dict) -> int | None:
         """Fold one event into the view; the index of the row a vector
@@ -273,7 +406,9 @@ class CorpusStore:
             if index is None:
                 index = len(self._keys)
                 if index == len(self._rows):
-                    grown = np.empty((max(64, 2 * index), self._rows.shape[1]))
+                    # 64 doubled past index: a view restored from a snapshot
+                    # with any row count grows to the same capacity as a fold.
+                    grown = np.empty((64 << (index // 64).bit_length(), self._rows.shape[1]))
                     grown[:index] = self._rows
                     self._rows = grown
                 self._index[key] = index
@@ -431,20 +566,29 @@ class ModelStore:
             return 0
 
     def save(self, models: dict[str, object], corpus_hash: str) -> int:
+        """Write `models` as the next generation, manifest last, then delete
+        the files of models it does not list.
+
+        The files are renamed into place only once all are written (see
+        `replace_atomically`), so a save that fails while writing leaves the
+        previous generation as it was."""
         new_version = self.version() + 1
         self.directory.mkdir(parents=True, exist_ok=True)
         metadata = {"corpus_hash": corpus_hash, "model_version": new_version}
-        for model_id, model in models.items():
-            save_model(model, self.directory / f"{model_id}.json", metadata)
-        manifest = {
+        manifest = json.dumps({
             "version": new_version,
             "corpus_hash": corpus_hash,
             "models": sorted(models),
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        }
-        (self.directory / self.MANIFEST).write_text(
-            json.dumps(manifest, indent=1) + "\n"
+        }, indent=1) + "\n"
+        replace_atomically(
+            [(self.directory / f"{model_id}.json", partial(save_model, model, metadata=metadata))
+             for model_id, model in models.items()]
+            + [(self.directory / self.MANIFEST, lambda path: path.write_text(manifest))]
         )
+        for model_id in MODEL_IDS:
+            if model_id not in models:
+                (self.directory / f"{model_id}.json").unlink(missing_ok=True)
         return new_version
 
     def load(self) -> dict[str, object]:
@@ -750,8 +894,7 @@ class ScanReport:
         """A report written by `write`; a line that is not a verdict record
         (or the summary) raises ValueError ``<file>:<line>: <reason>``."""
         verdicts = []
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_lines(Path(path)), start=1):
             if not line.strip():
                 continue
             try:

@@ -257,6 +257,16 @@ def test_report_command(runner, workspace):
     assert "1 flagged" in result.output
 
 
+def test_report_of_bytes_that_are_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    ScanReport([]).write(path)
+    path.write_bytes(b'{"package": "b\xff", "version": "1.0.0"}\n' + path.read_bytes())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(path)])
+    assert exit_info.value.code == 2
+    assert f"{path}:1: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_hashes_export_import(runner, workspace, tmp_path):
     runner.invoke(cli, base_args(workspace) + [
         "scan", "dropper@2.0.0", "--no-reproduce",

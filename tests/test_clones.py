@@ -109,6 +109,17 @@ def test_hash_list_load_error_names_file_and_line(tmp_path, line, reason):
         MalwareHashSet(path)
 
 
+@pytest.mark.parametrize("lineno", [1, 3, 40])
+def test_hash_list_load_names_the_line_of_bytes_that_are_not_utf8(tmp_path, lineno):
+    path = tmp_path / "hashes.txt"
+    lines = [f"md5:{i:032x}\tp{i}\t1.0.0\t2021-08-01".encode() for i in range(50)]
+    lines[lineno - 1] = lines[lineno - 1].replace(b"\tp", b"\tp\xff", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{lineno}: 'utf-8' codec can't decode byte 0xff")):
+        MalwareHashSet(path)
+
+
 def test_register_and_find_clone(tmp_path):
     hash_set = MalwareHashSet(tmp_path / "hashes.txt")
     mal = load_tarball(make_tgz(name="stealer", version="1.0.0", files=PAYLOAD))

@@ -785,6 +785,275 @@ def test_corpus_load_names_the_line_of_the_kept_row(tmp_path):
         CorpusStore(path)
 
 
+# --- corpus snapshot ---
+
+
+class CountingStore(CorpusStore):
+    """A CorpusStore that counts the events its load folds."""
+
+    applied = 0
+
+    def _apply(self, event):
+        self.applied += 1
+        return super()._apply(event)
+
+
+def columns(store):
+    """The store's view in row order: keys, rows (bytes), labels, digests."""
+    n = len(store)
+    return (store._keys, store._rows[:n].tobytes(), store._labels, store._digests)
+
+
+def log_events(path) -> int:
+    """The events (non-blank lines after the header) of the log at `path`."""
+    return sum(1 for line in path.read_bytes().split(b"\n")[1:] if line.strip())
+
+
+NAMES = ["a", "a\x00", "\x00", "\ud800", "x\ny", "ü", "😀\udfff"]
+snapshot_events = st.lists(st.one_of(
+    st.tuples(st.just("vector"), st.sampled_from(NAMES), st.sampled_from(["1.0.0", "\udc00\x00"]),
+              st.sampled_from([None, MALICIOUS, BENIGN]),
+              st.sampled_from([None, "md5:" + "0" * 32, "", "d\x00", "\ud800\n", "é"]),
+              st.floats(-1e6, 1e6)),
+    st.tuples(st.just("label"), st.sampled_from(NAMES), st.sampled_from(["1.0.0", "9.9.9"]),
+              st.sampled_from([MALICIOUS, BENIGN])),
+), min_size=1, max_size=12)
+
+
+def snapshot_log_lines(events) -> list[bytes]:
+    """The corpus log holding `events`: relabels, unlabeled rows that a
+    labeled vector replaces, duplicate vectors and labels of unknown keys.
+    A line is raw UTF-8 unless it holds a lone surrogate, which only an
+    escape can carry."""
+    lines = [json.dumps({"format": CORPUS_FORMAT}).encode()]
+    for kind, package, version, label_, *rest in events:
+        if kind == "vector":
+            digest, delta = rest
+            vector = replace(first_vector(package, version, label_),
+                             deltas=(delta,) + (0.5,) * 9)
+            event = {"event": "vector", "vector": vector.to_record(), "digest": digest}
+        else:
+            event = {"event": "label", "package": package, "version": version, "label": label_,
+                     "date": "2021-08-01T00:00:00+00:00"}
+        try:
+            lines.append(json.dumps(event, sort_keys=True, ensure_ascii=False).encode())
+        except UnicodeEncodeError:
+            lines.append(json.dumps(event, sort_keys=True).encode())
+    return [line + b"\n" for line in lines]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(snapshot_events)
+def test_a_load_from_a_snapshot_of_any_prefix_matches_the_fold(events):
+    lines = snapshot_log_lines(events)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        snapshot = Path(tmp) / "c.jsonl.snapshot"
+        path.write_bytes(b"".join(lines))
+        oracle = reference_view(ReferenceCorpus(path))
+        cold = CountingStore(path)
+        assert cold.applied == len(lines) - 1
+        expected = columns(cold)
+        for k in range(1, len(lines) + 1):
+            snapshot.unlink()
+            path.write_bytes(b"".join(lines[:k]))
+            CorpusStore(path)  # folds the prefix and snapshots it
+            path.write_bytes(b"".join(lines))
+            warm = CountingStore(path)
+            assert warm.applied == len(lines) - k
+            assert columns(warm) == expected
+            assert corpus_view(warm, ReferenceCorpus(path).entries) == oracle
+            # A tail at least as long as the prefix rewrote the snapshot.
+            prefix, tail = len(b"".join(lines[:k])), len(b"".join(lines[k:]))
+            assert CountingStore(path).applied == (0 if tail >= prefix else len(lines) - k)
+
+
+def resnapshot(store, **changes):
+    """Write `store`'s view as the snapshot of its whole log, after setting
+    each of `changes` on the store."""
+    for name, value in changes.items():
+        setattr(store, name, value)
+    data = store.path.read_bytes()
+    store._save_snapshot([len(data), data.count(b"\n"), hashlib.sha256(data).hexdigest()])
+
+
+def _delete(path, snapshot, store, monkeypatch):
+    snapshot.unlink()
+
+
+def _truncate(path, snapshot, store, monkeypatch):
+    snapshot.write_bytes(snapshot.read_bytes()[:-1])
+
+
+def _append_a_byte(path, snapshot, store, monkeypatch):
+    snapshot.write_bytes(snapshot.read_bytes() + b"\n")
+
+
+def _edit_the_prefix(path, snapshot, store, monkeypatch):
+    # Same length and line count, one label fewer.
+    path.write_bytes(path.read_bytes().replace(b'"malicious"', b'"benign"   ', 1))
+
+
+def _shorten_the_log(path, snapshot, store, monkeypatch):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:len(lines) // 2]))
+
+
+def _rewrite_the_log(path, snapshot, store, monkeypatch):
+    write_corpus_log(path, seed=1)
+
+
+def _other_format(path, snapshot, store, monkeypatch):
+    monkeypatch.setattr(pipeline, "SNAPSHOT_FORMAT", "pkgwatch-corpus-snapshot/0")
+    resnapshot(store)
+
+
+def _other_schema(path, snapshot, store, monkeypatch):
+    monkeypatch.setattr(pipeline, "NUMERIC_SCHEMA", pipeline.NUMERIC_SCHEMA[::-1])
+    resnapshot(store)
+
+
+def _non_finite_row(path, snapshot, store, monkeypatch):
+    store._rows[len(store) // 2, 3] = float("nan")
+    resnapshot(store)
+
+
+def _more_digests(path, snapshot, store, monkeypatch):
+    resnapshot(store, _digests=store._digests + [None])
+
+
+def _duplicate_key(path, snapshot, store, monkeypatch):
+    resnapshot(store, _keys=store._keys[:-1] + store._keys[:1])
+
+
+@pytest.mark.parametrize("damage", [
+    _delete, _truncate, _append_a_byte, _edit_the_prefix, _shorten_the_log, _rewrite_the_log,
+    _other_format, _other_schema, _non_finite_row, _more_digests, _duplicate_key,
+], ids=["missing", "truncated", "trailing-byte", "stale-prefix", "shorter-log",
+        "rewritten-log", "other-format", "other-schema", "non-finite-row", "more-digests",
+        "duplicate-key"])
+def test_a_snapshot_that_does_not_fit_the_log_goes_unused(tmp_path, monkeypatch, damage):
+    path, snapshot = tmp_path / "c.jsonl", tmp_path / "c.jsonl.snapshot"
+    write_corpus_log(path, seed=0)
+    store = CorpusStore(path)
+    assert snapshot.exists()
+    with monkeypatch.context() as patch:
+        damage(path, snapshot, store, patch)
+    fold = CountingStore(path)
+    assert fold.applied == log_events(path)
+    assert corpus_view(fold, ReferenceCorpus(path).entries) == \
+        reference_view(ReferenceCorpus(path))
+    # The full fold wrote a snapshot that the next load uses.
+    warm = CountingStore(path)
+    assert warm.applied == 0
+    assert columns(warm) == columns(fold)
+
+
+def test_a_byte_flipped_snapshot_goes_unused(tmp_path):
+    path, snapshot = tmp_path / "c.jsonl", tmp_path / "c.jsonl.snapshot"
+    lines = snapshot_log_lines([("vector", name, "1.0.0", BENIGN, None, 0.25 * i)
+                                for i, name in enumerate(NAMES[:4])]
+                               + [("label", "a", "1.0.0", MALICIOUS)])
+    path.write_bytes(b"".join(lines))
+    expected = columns(CorpusStore(path))
+    whole = snapshot.read_bytes()
+    for at in range(len(whole)):
+        snapshot.write_bytes(whole[:at] + bytes([whole[at] ^ 0xFF]) + whole[at + 1:])
+        store = CountingStore(path)
+        assert (store.applied, columns(store)) == (len(lines) - 1, expected), at
+        assert snapshot.read_bytes() == whole
+
+
+def test_a_snapshot_that_cannot_be_written_leaves_the_load_whole(tmp_path, monkeypatch,
+                                                                 caplog):
+    path = tmp_path / "c.jsonl"
+    write_corpus_log(path, seed=2)
+
+    def fail(source, target):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline.os, "replace", fail)
+    store = CorpusStore(path)
+    assert corpus_view(store, ReferenceCorpus(path).entries) == \
+        reference_view(ReferenceCorpus(path))
+    assert "not written: [Errno 28] No space left on device" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
+def test_appends_while_a_load_writes_its_snapshot_are_replayed(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    write_corpus_log(path, seed=0)
+    writer = CorpusStore(path)
+    (tmp_path / "c.jsonl.snapshot").unlink()
+    before = log_events(path)
+
+    def append():
+        for i in range(100):
+            writer.add_vector(first_vector(package=f"late-{i}", label=(None, BENIGN)[i % 2]))
+            writer.set_label(f"late-{i // 2}", "1.0.0", MALICIOUS)
+
+    replace_atomically = pipeline.replace_atomically
+
+    def racing(files):
+        thread = threading.Thread(target=append)
+        thread.start()
+        try:
+            replace_atomically(files)
+        finally:
+            thread.join(timeout=60)
+
+    monkeypatch.setattr(pipeline, "replace_atomically", racing)
+    CorpusStore(path)
+    monkeypatch.undo()
+    assert log_events(path) == before + 200
+    store = CountingStore(path)
+    assert store.applied == 200
+    assert corpus_view(store, ReferenceCorpus(path).entries) == \
+        reference_view(ReferenceCorpus(path))
+
+
+def test_a_log_whose_last_line_has_no_newline_is_not_snapshotted(tmp_path):
+    # Its next append joins that line, which must then fail every load.
+    path = tmp_path / "c.jsonl"
+    write_corpus_log(path, seed=0)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    store = CorpusStore(path)
+    assert not (tmp_path / "c.jsonl.snapshot").exists()
+    store.add_vector(first_vector("late"))
+    lineno = len(path.read_bytes().splitlines())
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: Extra data")):
+        CorpusStore(path)
+
+
+def test_a_value_that_is_not_finite_in_the_replayed_tail_names_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus_log(path, seed=0)
+    CorpusStore(path)
+    record = first_vector(package="q").to_record()
+    record["deltas"]["entropy_mean"] = "@"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event": "vector", "vector": first_vector("r").to_record()}) + "\n")
+        fh.write(json.dumps({"event": "vector", "vector": record}).replace('"@"', "NaN") + "\n")
+    lineno = len(path.read_bytes().splitlines())
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{lineno}: entropy_mean is not a finite number: nan")):
+        CountingStore(path)
+
+
+@pytest.mark.parametrize("lineno", [2, 4, 21, 151])
+def test_corpus_load_names_the_line_of_bytes_that_are_not_utf8(tmp_path, lineno):
+    path = tmp_path / "c.jsonl"
+    store = CorpusStore(path)
+    for i in range(160):
+        store.add_vector(first_vector(package=f"p{i:03d}"))
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1].replace(b'"p', b'"\xffp', 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{lineno}: 'utf-8' codec can't decode byte 0xff")):
+        CorpusStore(path)
+
+
 def test_label_true_positive_registers_digest(tmp_path):
     corpus = CorpusStore(tmp_path / "c.jsonl")
     hash_set = MalwareHashSet(tmp_path / "h.txt")
@@ -903,13 +1172,14 @@ def test_model_store_versioning(tmp_path):
 
 
 def test_model_store_loads_only_the_manifests_models(tmp_path):
-    # A retrain with no malicious rows skips the tree and NB; their files of
-    # version 1 stay on disk, and must not load beside the version-2 SVM.
+    # A retrain with no malicious rows skips the tree and NB; the save deletes
+    # their files of version 1, which must not load beside the version-2 SVM.
     models, _ = retrain_fixture(tmp_path)
     store = ModelStore(tmp_path / "models")
     store.save(models, corpus_hash="abc")
     store.save({MODEL_SVM: models[MODEL_SVM]}, corpus_hash="def")
-    assert (store.directory / f"{MODEL_TREE}.json").exists()
+    assert sorted(p.name for p in store.directory.iterdir()) == [
+        ModelStore.MANIFEST, f"{MODEL_SVM}.json"]
     assert list(store.load()) == [MODEL_SVM]
     store.save(models, corpus_hash="ghi")
     assert list(store.load()) == list(MODEL_IDS)
@@ -978,6 +1248,31 @@ def test_model_store_rejects_a_file_of_another_generation(tmp_path, saves, reaso
         new.load()
 
 
+@pytest.mark.parametrize("writes", range(4), ids=[f"after-{k}-writes" for k in range(4)])
+def test_a_save_that_fails_while_writing_leaves_the_previous_generation(tmp_path, monkeypatch,
+                                                                        writes):
+    models, _ = retrain_fixture(tmp_path)
+    store = ModelStore(tmp_path / "models")
+    store.save(models, corpus_hash="abc")
+    before = {p.name: p.read_bytes() for p in store.directory.iterdir()}
+    written = []
+    write_text = Path.write_text
+
+    def fill_the_disk(self, data, *args, **kwargs):
+        if len(written) == writes:  # three model files, then the manifest
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        written.append(self)
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fill_the_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        store.save(models, corpus_hash="def")
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in store.directory.iterdir()} == before
+    assert list(store.load()) == list(MODEL_IDS) and store.version() == 1
+
+
 def retrain_fixture(tmp_path):
     corpus = CorpusStore(tmp_path / "seed.jsonl")
     for i in range(3):
@@ -1028,6 +1323,17 @@ def test_report_reads_back_every_reproduce_status(tmp_path):
     ScanReport(verdicts).write(path)
     assert [v.to_record() for v in ScanReport.read(path).verdicts] == \
            [v.to_record() for v in verdicts]
+
+
+def test_report_read_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "r.jsonl"
+    ScanReport([Verdict(package=f"p{i}", version="1.0.0") for i in range(5)]).write(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b'"p3"', b'"p3\xff"')
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:4: 'utf-8' codec can't decode byte 0xff")):
+        ScanReport.read(path)
 
 
 def test_report_empty_batch():
