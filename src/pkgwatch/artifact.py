@@ -165,9 +165,6 @@ def load_tarball(data: bytes) -> PackageArtifact:
                            manifest=manifest)
 
 
-def source_files(
-    artifact: PackageArtifact,
-    extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS,
-) -> list[FileEntry]:
+def source_files(artifact: PackageArtifact) -> list[FileEntry]:
     """Entries whose path ends in one of the source extensions, in artifact order."""
-    return [f for f in artifact.files if f.path.endswith(extensions)]
+    return [f for f in artifact.files if f.path.endswith(DEFAULT_SOURCE_EXTENSIONS)]

@@ -15,7 +15,7 @@ import click
 
 from .artifact import load_tarball
 from .classifiers import MODEL_IDS, LabeledDataset, calibrate_nu, cross_validate
-from .clones import MalwareHashSet, canonical_digest, find_clone
+from .clones import MalwareHashSet, canonical_digest, find_clone, read_lines
 from .errors import PkgwatchError
 from .features import extract_features
 from .patterns import DEFAULT_PATTERN_TABLE, load_pattern_table
@@ -146,7 +146,7 @@ def scan(settings: Settings, specs, batch_file, since, until, out_path,
     registry = settings.registry()
     batch = [parse_spec(s) for s in specs]
     if batch_file:
-        lines = Path(batch_file).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(Path(batch_file))
         batch += [parse_spec(line.strip()) for line in lines if line.strip()]
     if since is not None or until is not None:
         if since is None or until is None:

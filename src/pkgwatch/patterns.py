@@ -24,7 +24,9 @@ one test per string needle of each string.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .tokens import tokenize
@@ -49,6 +51,8 @@ COUNT_FEATURES = (
 
 #: Feature receiving dynamic require/import counts (engine built-in).
 DYNAMIC_IMPORT_FEATURE = "dynamic_code"
+
+END = ("end", "")  # the look-ahead past the last token
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,15 @@ DEFAULT_PATTERN_TABLE = PatternTable(
 )
 
 
-def scan_tokens(tokens: list[tuple[str, str]], table: PatternTable) -> dict[str, int]:
+def scan_tokens(tokens: Iterable[tuple[str, str]], table: PatternTable) -> dict[str, int]:
     """Per-feature match counts of a token stream, in one walk over it."""
     counts = dict.fromkeys(table.rules, 0)
     index, needles = table.index, table.needles
-    padded = tokens + [("end", "")] * 3  # look-ahead past the last token
-    for i, (kind, value) in enumerate(tokens):
+    # The current token and the three after it; three ENDs start and end the stream.
+    nxt = second = third = END
+    for ahead in chain(tokens, (END,) * 3):
+        kind, value = nxt
+        nxt, second, third = second, third, ahead
         if kind == "string":
             lowered = value.lower()
             for needle, feature in needles:
@@ -149,19 +156,18 @@ def scan_tokens(tokens: list[tuple[str, str]], table: PatternTable) -> dict[str,
             continue
         # An identifier holds no dot, so only dotless values match here.
         constructs = [("property_access_of", value)]
-        nxt = padded[i + 1]
         if nxt == ("punct", "("):
             constructs.append(("call_of", value))
             if value in ("require", "import"):
-                arg_kind, arg = padded[i + 2]
-                if arg_kind == "string" and padded[i + 3] == ("punct", ")"):
+                arg_kind, arg = second
+                if arg_kind == "string" and third == ("punct", ")"):
                     constructs.append(("import_of", arg))
                 else:
                     counts[DYNAMIC_IMPORT_FEATURE] += 1
         elif nxt[0] == "string" and value in ("import", "from"):
             constructs.append(("import_of", nxt[1]))
-        elif nxt[0] == "punct" and nxt[1] in (".", "?.") and padded[i + 2][0] == "ident":
-            constructs.append(("property_access_of", f"{value}.{padded[i + 2][1]}"))
+        elif nxt[0] == "punct" and nxt[1] in (".", "?.") and second[0] == "ident":
+            constructs.append(("property_access_of", f"{value}.{second[1]}"))
         for construct in constructs:
             for feature in index.get(construct, ()):
                 counts[feature] += 1

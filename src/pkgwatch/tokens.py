@@ -1,12 +1,13 @@
 """Lightweight JavaScript/TypeScript tokenizer.
 
-Produces just enough structure for token-level pattern rules. Each token
-is a ``(kind, value)`` tuple, where kind is ``"ident"``, ``"string"``
-(quoted strings and templates, quotes dropped and escapes resolved),
-``"number"``, ``"punct"`` or ``"regex"`` (the body between the slashes,
-escapes kept, flags dropped). Comments and whitespace yield no token. Not
-a parser; the pattern rules it feeds are defined over locally decidable
-token shapes only.
+Produces just enough structure for token-level pattern rules. `tokenize`
+yields each token as it reaches it, as a ``(kind, value)`` tuple, and
+keeps no list (call ``list()`` for one). Kind is ``"ident"``,
+``"string"`` (quoted strings and templates, quotes dropped and escapes
+resolved), ``"number"``, ``"punct"`` or ``"regex"`` (the body between
+the slashes, escapes kept, flags dropped). Comments and whitespace yield
+no token. Not a parser; the pattern rules it feeds are defined over
+locally decidable token shapes only.
 
 One compiled pattern, ``_TOKEN``, matches the next token at each
 position. Its alternatives are tried in order, and the named group that
@@ -20,6 +21,7 @@ previous token cannot end an operand; elsewhere it is punctuation.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 # After these a `/` starts a regex literal rather than division.
 _REGEX_PREDECESSOR_KEYWORDS = frozenset(
@@ -65,13 +67,13 @@ def _regex_allowed(prev: tuple[str, str] | None) -> bool:
     return False  # after string/number/regex it is division
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
-    """Tokenize JS/TS source text into ``(kind, value)`` tuples.
+def tokenize(text: str) -> Iterator[tuple[str, str]]:
+    """Yield the ``(kind, value)`` tuples of JS/TS source text, in order.
 
-    Raises TokenizeError on an unterminated block comment, template or
-    regex literal; callers treat that as an unparseable file.
+    Raises TokenizeError, after the tokens before it, on an unterminated
+    block comment, template or regex literal: an unparseable file.
     """
-    tokens: list[tuple[str, str]] = []
+    last = None
     pos = 0
     while True:  # one pass of the pattern, restarted after each regex literal
         for m in _TOKEN.finditer(text, pos):
@@ -80,11 +82,11 @@ def tokenize(text: str) -> list[tuple[str, str]]:
                 continue  # whitespace or a comment
             value = m.group(group)
             if group == "punct":
-                if value == "/" and _regex_allowed(tokens[-1] if tokens else None):
+                if value == "/" and _regex_allowed(last):
                     body = _REGEX_BODY.match(text, m.end())
                     if body is None:
                         raise TokenizeError("unterminated regex literal")
-                    tokens.append(("regex", body.group(1)))
+                    yield (last := ("regex", body.group(1)))
                     pos = body.end()
                     break
             elif group == "open_comment":
@@ -93,6 +95,6 @@ def tokenize(text: str) -> list[tuple[str, str]]:
                 raise TokenizeError("unterminated template literal")
             elif "\\" in value:  # only strings and templates hold one
                 value = "".join(_ESCAPE.split(value))
-            tokens.append((_KINDS[group], value))
+            yield (last := (_KINDS[group], value))
         else:
-            return tokens
+            return

@@ -267,6 +267,15 @@ def test_report_of_bytes_that_are_not_utf8_exits_2_naming_the_line(tmp_path, cap
     assert f"{path}:1: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
+def test_batch_of_bytes_that_are_not_utf8_exits_2_naming_the_line(workspace, capsys):
+    path = workspace["tmp"] / "batch.txt"
+    path.write_bytes(b"plain@1.0.1\n\xffplain@1.0.0\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["scan", "--batch", str(path), "--no-reproduce"])
+    assert exit_info.value.code == 2
+    assert f"{path}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_hashes_export_import(runner, workspace, tmp_path):
     runner.invoke(cli, base_args(workspace) + [
         "scan", "dropper@2.0.0", "--no-reproduce",

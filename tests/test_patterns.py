@@ -1,5 +1,7 @@
 """The pattern layer against its earlier implementation in `oracles`."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -78,7 +80,9 @@ def counted(count, *args):
 @example(TWICE, [("ident", "a"), ("punct", ".")])
 @example(TWICE, [("ident", "import"), ("punct", "(")])
 def test_scan_tokens_matches_the_rule_by_rule_oracle(table, tokens):
-    assert counted(scan_tokens, tokens, table) == counted(oracles.reference_scan, tokens, table)
+    # A one-shot iterator: the scan must walk its tokens exactly once.
+    assert counted(scan_tokens, iter(tokens), table) == \
+        counted(oracles.reference_scan, tokens, table)
 
 
 # Pieces of source text; joined, they give token soups with comments,
@@ -116,3 +120,17 @@ def test_count_matches_matches_the_oracle_on_generated_packages():
     for table in (DEFAULT_PATTERN_TABLE, TWICE):
         for text in files:
             assert count_matches(text, table) == oracles.reference_count_matches(text, table)
+
+
+def test_count_matches_holds_no_token_list():
+    # 256 KiB of dense source is 131,072 tokens; a list of them alone would
+    # take several MB.
+    text = "a.b(c);\n" * (1 << 15)
+    tracemalloc.start()
+    try:
+        counts = count_matches(text, table_of(fs_access=[("property_access_of", "a.b")]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["fs_access"] == 1 << 15
+    assert peak < 2 * 1024 * 1024
