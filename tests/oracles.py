@@ -17,6 +17,9 @@ over every row and keeps its gradient incrementally. `reference_load_tarball`
 is the package's earlier tarball decode, a `tarfile` walk into three entry
 containers, with its own copy of the path normalizer; it parses the manifest
 with the package's `_parse_manifest` and returns the package's types.
+`argsort_tree_fit` is the package's earlier tree fit, which found each
+split through a stable argsort of the column; it writes the same node
+documents, so a test compares the two fits byte for byte.
 """
 
 from __future__ import annotations
@@ -123,6 +126,81 @@ class ReferenceTree:
 
     def predict(self, X):
         return [self.predict_one(row) for row in np.asarray(X, dtype=float)]
+
+
+def _entropy_from_counts(n_mal: np.ndarray, n: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = n_mal / n
+        q = 1.0 - p
+        h = -(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+              + np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0))
+    return np.where(n > 0, h, 0.0)
+
+
+def argsort_tree_fit(X, y) -> dict:
+    """The document `DecisionTreeClassifier.fit(X, y).to_dict()` gives, from
+    the package's earlier split search: a stable argsort of each column at
+    each node, and class counts as a cumulative sum along it."""
+    X = np.asarray(X, dtype=float)
+    y01 = (np.asarray(y, dtype=object) == "malicious").astype(int)
+
+    def leaf(idx):
+        n_mal = int(y01[idx].sum())
+        n_ben = len(idx) - n_mal
+        return {"leaf": "malicious" if n_mal >= n_ben else "benign", "counts": [n_ben, n_mal]}
+
+    def best_split(idx):
+        n = len(idx)
+        y_node = y01[idx]
+        total_mal = int(y_node.sum())
+        h_parent = _entropy_from_counts(np.array([total_mal]), np.array([n]))[0]
+        best = None
+        for col in range(X.shape[1]):
+            values = X[idx, col]
+            order = np.argsort(values, kind="stable")
+            sv = values[order]
+            cum_mal = np.cumsum(y_node[order])
+            boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+            if len(boundary) == 0:
+                continue
+            n_left = boundary + 1
+            mal_left = cum_mal[boundary]
+            n_right = n - n_left
+            mal_right = total_mal - mal_left
+            gains = (
+                h_parent
+                - (n_left / n) * _entropy_from_counts(mal_left, n_left)
+                - (n_right / n) * _entropy_from_counts(mal_right, n_right)
+            )
+            pos = int(np.argmax(gains))
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:
+                b = int(boundary[pos])
+                lo, hi = float(sv[b]), float(sv[b + 1])
+                threshold = (lo + hi) / 2.0
+                if not lo <= threshold < hi:
+                    threshold = lo
+                best = (gain, col, threshold, b, order)
+        return None if best is None else best[1:]
+
+    def build(idx):
+        n_mal = int(y01[idx].sum())
+        if n_mal == 0 or n_mal == len(idx):
+            return leaf(idx)
+        found = best_split(idx)
+        if found is None:
+            return leaf(idx)
+        col, threshold, b, order = found
+        return {
+            "column": col,
+            "threshold": threshold,
+            "counts": [len(idx) - n_mal, n_mal],
+            "left": build(idx[order[: b + 1]]),
+            "right": build(idx[order[b + 1 :]]),
+        }
+
+    return {"params": {"max_depth": None, "min_samples_leaf": 1},
+            "root": build(np.arange(X.shape[0]))}
 
 
 # --- naive bayes ---

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FixtureRegistryBuilder, build_training_vectors, make_tgz
-from pkgwatch.classifiers import ocsvm
+from pkgwatch.classifiers import ocsvm, tree
 from pkgwatch.cli import cli, main, parse_spec
 from pkgwatch.pipeline import CorpusStore, ModelStore, ScanReport, retrain
 
@@ -223,6 +223,20 @@ def test_retrain_without_convergence_exits_2_and_keeps_the_models(workspace, mon
         main(base_args(workspace) + ["retrain"])
     assert exit_info.value.code == 2
     assert "error: no convergence after 1 iterations" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in models.iterdir()} == before
+
+
+def test_retrain_of_a_too_deep_tree_exits_2_and_keeps_the_models(workspace, monkeypatch,
+                                                                 capsys):
+    models = Path(workspace["models"])
+    before = {path.name: path.read_bytes() for path in models.iterdir()}
+    # The workspace corpus grows a tree two levels deep or more.
+    monkeypatch.setattr(tree, "MAX_DEPTH", 1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(base_args(workspace) + ["retrain"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == \
+        "error: decision tree would be deeper than its maximum depth 1\n"
     assert {path.name: path.read_bytes() for path in models.iterdir()} == before
 
 

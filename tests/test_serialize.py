@@ -146,6 +146,17 @@ TAMPERED = {
     "nb-truncated": ("naive-bayes.json", lambda doc: json.dumps(doc, indent=1)[:100], ValueError),
     "nested-too-deeply": ("naive-bayes.json", lambda doc: "[" * 100_000 + "]" * 100_000,
                           ValueError),
+    "tree-counts-a-string": ("decision-tree.json", _edit(_first_leaf, "counts", "xy"), ValueError),
+    "tree-counts-one": ("decision-tree.json", _edit(_first_leaf, "counts", [1]), ValueError),
+    "tree-counts-negative-and-float": ("decision-tree.json",
+                                       _edit(_first_leaf, "counts", [-5, 2.5]), ValueError),
+    "tree-counts-a-bool": ("decision-tree.json", _edit(_first_leaf, "counts", [True, 0]),
+                           ValueError),
+    "tree-counts-an-object": ("decision-tree.json", _edit(_first_leaf, "counts", {"a": 1}),
+                              ValueError),
+    "tree-split-counts-not-the-children-sum": ("decision-tree.json",
+                                               _edit(_first_split, "counts", [30, 13]),
+                                               ValueError),
     "tree-node-without-left": ("decision-tree.json", _drop(_first_split, "left"), ValueError),
     "tree-node-a-list": ("decision-tree.json", _edit(_first_split, "left", []), ValueError),
     "svm-without-params": ("one-class-svm.json", _drop(_model, "params"), ValueError),

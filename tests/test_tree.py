@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import ReferenceTree, exhaustive_best_split
+from oracles import ReferenceTree, argsort_tree_fit, exhaustive_best_split
 from pkgwatch.classifiers import MODEL_TREE, DecisionTreeClassifier, load_model, save_model
+from pkgwatch.classifiers.tree import MAX_DEPTH
 from pkgwatch.errors import EmptyDataset, SchemaMismatch
 
 M, B = "malicious", "benign"
@@ -116,3 +120,71 @@ def test_schema_mismatch_on_predict(tmp_path):
     with pytest.raises(SchemaMismatch):
         save_model(tree, tmp_path / "tree.json")
     assert not (tmp_path / "tree.json").exists()
+
+
+# Values whose order or midpoints are delicate: both zeros (equal, so an
+# unstable sort may put either last among them), float-adjacent pairs (the
+# midpoint rounds to an end, so the threshold falls back to the lower one)
+# and subnormals.
+DELICATE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+            1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), -1.0, 1e300]
+
+
+@st.composite
+def tree_data(draw):
+    """Rows whose columns each hold 1 to 3 distinct values, so ties are heavy."""
+    n_rows = draw(st.integers(1, 40))
+    n_cols = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(DELICATE), st.floats(-1e6, 1e6, allow_nan=False))
+    palettes = [draw(st.lists(value, min_size=1, max_size=3)) for _ in range(n_cols)]
+    X = [[draw(st.sampled_from(palette)) for palette in palettes] for _ in range(n_rows)]
+    y = draw(st.lists(st.sampled_from([M, B]), min_size=n_rows, max_size=n_rows))
+    return X, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_data())
+@example(([[-0.0], [0.0], [1.0], [0.0], [-0.0], [1.0]], [B, M, M, B, B, M]))
+@example(([[1.0], [float(np.nextafter(1.0, 2.0))], [1.0]], [B, M, B]))
+@example(([[-5e-324], [0.0], [-0.0], [5e-324]], [B, M, B, M]))
+@example(([[3.0, 1e-310]] * 4, [M, B, B, M]))
+@example(([[0.0], [1.0], [2.0]], [B, B, B]))
+@example(([[0.0], [1.0]], [M, M]))
+def test_fit_writes_the_argsort_fit_bytes(data):
+    X, y = data
+    X, y = np.array(X, dtype=float), np.array(y, dtype=object)
+    assert json.dumps(DecisionTreeClassifier().fit(X, y).to_dict()) == \
+        json.dumps(argsort_tree_fit(X, y))
+
+
+def test_signed_zeros_in_any_order_give_the_argsort_fit_bytes():
+    # Enough tied zeros of both signs that the unstable sort reorders them.
+    rng = np.random.default_rng(3)
+    X = rng.choice([-0.0, 0.0, 5e-324, -1e-310, 2.0], size=(2_000, 3))
+    y = rng.choice(np.array([M, B], dtype=object), size=2_000)
+    assert json.dumps(DecisionTreeClassifier().fit(X, y).to_dict()) == \
+        json.dumps(argsort_tree_fit(X, y))
+
+
+def _peeling(n_rows):
+    """Rows whose labels alternate along column 0: each split peels off one
+    row, so the tree is n_rows - 1 levels deep."""
+    X = np.zeros((n_rows, 17))
+    X[:, 0] = np.arange(n_rows)
+    return X, np.array([M if i % 2 else B for i in range(n_rows)], dtype=object)
+
+
+def test_a_tree_max_depth_deep_round_trips(tmp_path):
+    X, y = _peeling(MAX_DEPTH + 1)
+    tree = DecisionTreeClassifier().fit(X, y)
+    assert tree.node_count_ == 2 * MAX_DEPTH + 1
+    save_model(tree, tmp_path / "tree.json")
+    clone = load_model(tmp_path / "tree.json", MODEL_TREE)
+    assert clone.root_ == tree.root_
+    assert list(clone.predict(X)) == list(y)
+
+
+def test_a_tree_one_level_deeper_is_refused_at_fit():
+    X, y = _peeling(MAX_DEPTH + 2)
+    with pytest.raises(ValueError, match=f"deeper than its maximum depth {MAX_DEPTH}$"):
+        DecisionTreeClassifier().fit(X, y)
